@@ -478,6 +478,8 @@ def _check_invariance(subject, corpus, tol, axiom, flavor):
     cohesive = flavor.startswith("cohesive")
     ratio = flavor.endswith("ratio")
     for v in corpus.games:
+        # The best-partition worth of v, computed on first use.
+        best_v = None
         for i in v.players:
             for w in _invariance_partners(f, v, i):
                 ok, stats = _try(lambda: (_surplus_stats(f, v), _surplus_stats(f, w)))
@@ -487,12 +489,13 @@ def _check_invariance(subject, corpus, tol, axiom, flavor):
                 (fv, tv, sv), (fw, tw, sw) = stats
                 if fv[i] != fw[i]:
                     continue
+                gv, gw = v.grand, w.grand
                 if cohesive:
-                    sv = max_partition_value(v).value - tv
-                    sw = max_partition_value(w).value - tw
+                    if best_v is None:
+                        best_v = max_partition_value(v).value
+                    gv, gw = best_v, max_partition_value(w).value
+                    sv, sw = gv - tv, gw - tw
                 if ratio:
-                    gv = max_partition_value(v).value if cohesive else v.grand
-                    gw = max_partition_value(w).value if cohesive else w.grand
                     if tv != tw or gv != gw:
                         continue
                 elif sv != sw:

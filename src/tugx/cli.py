@@ -73,6 +73,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def _check_count(count: int) -> int:
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    return count
+
+
 def _corpus_from_source(source: str) -> Corpus:
     """Either `gen:n=2-4,count=12,seed=7[,profile=...]` or a directory."""
     if source.startswith("gen:"):
@@ -90,7 +96,7 @@ def _corpus_from_source(source: str) -> Corpus:
             raise ValueError(f"unknown profile {fields['profile']!r}")
         return Corpus.build(
             sizes=_parse_sizes(fields["n"]),
-            per_size=int(fields["count"]),
+            per_size=_check_count(int(fields["count"])),
             seed=int(fields["seed"]),
             profile=fields["profile"],
         )
@@ -315,6 +321,7 @@ def _random_partition(players: tuple[int, ...], rng: random.Random):
 def _cmd_gen(args) -> int:
     if args.profile not in PROFILES:
         raise ValueError(f"unknown profile {args.profile!r}")
+    _check_count(args.count)
     os.makedirs(args.outdir, exist_ok=True)
     count = 0
     for n in _parse_sizes(args.sizes):

@@ -153,8 +153,10 @@ ZERO = Solution("zero", "zero", lambda v: Allocation(v.players, (0.0,) * v.n))
 
 
 def constant_solution(c: float) -> Solution:
-    """Every player gets c in every game."""
+    """Every player gets c in every game; c must be finite."""
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"constant payoff must be finite, got {c}")
 
     def func(v: Game) -> Allocation:
         return Allocation(v.players, (c,) * v.n)

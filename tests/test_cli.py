@@ -98,6 +98,29 @@ def test_solve_error_statuses(capsys, fixture_dir, tmp_path):
     assert code == 2 and "bad.json" in err
 
 
+def test_non_finite_constant_is_rejected(capsys, fixture_dir):
+    duo = str(fixture_dir / "duo.json")
+    for name in ("constant:inf", "constant:-inf", "constant:nan"):
+        code, out, err = run(capsys, "solve", duo, "-s", name)
+        assert code == 2 and name in err
+        assert out == ""
+
+
+def test_count_below_one_is_rejected(capsys, tmp_path):
+    for count in ("0", "-1"):
+        code, out, err = run(
+            capsys, "check", f"gen:n=2,count={count},seed=4", "--suite", "surplus-values"
+        )
+        assert code == 2 and "count must be at least 1" in err
+        assert out == ""
+        outdir = tmp_path / f"gen{count}"
+        code, out, err = run(
+            capsys, "gen", str(outdir), "--count", count, "--seed", "1"
+        )
+        assert code == 2 and "count must be at least 1" in err
+        assert not outdir.exists()
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

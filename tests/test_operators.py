@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from tugx.axioms import Corpus, check_axiom, operator_subject
 from tugx.errors import DomainViolation, UnknownName
-from tugx.games import DEFAULT_TOL, Game, random_game
+from tugx.games import DEFAULT_TOL, PROFILES, Game, random_game
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
@@ -146,6 +147,98 @@ def test_best_partition_prefers_first_optimum():
 def test_best_partition_matches_enumeration(seed, n):
     v = random_game(tuple(range(1, n + 1)), seed=seed)
     assert max_partition_value(v).value == brute_force_partition_value(v)
+
+
+def _all_masks_best_partition(v):
+    """Reference DP over all 2^n masks; max_partition_value must match it exactly."""
+    size = 1 << v.n
+    best = [0.0] * size
+    choice = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        top = None
+        pick = low
+        sub = 0
+        while True:
+            block = sub | low
+            cand = v.worth[block] + best[mask ^ block]
+            if top is None or cand > top:
+                top = cand
+                pick = block
+            if sub == rest:
+                break
+            sub = (sub - rest) & rest
+        best[mask] = top
+        choice[mask] = pick
+    blocks = []
+    mask = v.full_mask
+    while mask:
+        block = choice[mask]
+        blocks.append(v.coalition(block))
+        mask ^= block
+    return best[-1], tuple(blocks)
+
+
+def _size_game(players, by_size):
+    """Game whose worths depend only on coalition size."""
+    return Game(
+        players,
+        tuple(by_size[bin(mask).count("1")] for mask in range(1 << len(players))),
+    )
+
+
+def _tie_heavy_games(players):
+    n = len(players)
+    singles = [(k % 3 + 1) / 4 for k in range(n)]
+    additive = tuple(
+        math.fsum(singles[k] for k in range(n) if mask >> k & 1)
+        for mask in range(1 << n)
+    )
+    yield Game(players, additive)
+    yield Game(players, (0.0,) * (1 << n))
+    yield _size_game(players, [float(k) for k in range(n + 1)])
+    yield _size_game(players, [float(k // 2 * 2) for k in range(n + 1)])
+    yield _size_game(players, [0.0] + [1.0] * n)
+
+
+def test_best_partition_matches_all_masks_reference():
+    for n in range(1, 11):
+        players = tuple(range(1, n + 1))
+        games = list(_tie_heavy_games(players))
+        games += [
+            random_game(players, seed=seed, profile=profile)
+            for profile in PROFILES
+            for seed in range(2 if n <= 8 else 1)
+        ]
+        for v in games:
+            got = max_partition_value(v)
+            value, blocks = _all_masks_best_partition(v)
+            assert got.value.hex() == value.hex()
+            assert got.blocks == blocks
+            if n in (7, 8):
+                assert got.value == brute_force_partition_value(v)
+
+
+def test_proportional_operators_reject_rounding_residue_total():
+    # v(N) = 0, yet the Shapley payoffs sum to a rounding residue of ~2e-16;
+    # rescaling by it would hand out payoffs near 1e16
+    v = random_game((1, 2, 3, 4), seed=0)
+    assert v.grand == 0.0
+    assert 0.0 < math.fsum(SHAPLEY(v).values) < 1e-15
+    with pytest.raises(DomainViolation):
+        apply_ps_operator(SHAPLEY, v)
+    with pytest.raises(DomainViolation):
+        COHESIVE_PS_OPERATOR(SHAPLEY, v)
+    # the checkers count the game as a skip instead of a failure
+    report = check_axiom(
+        "cohesive-efficiency",
+        operator_subject(COHESIVE_PS_OPERATOR, (SHAPLEY,)),
+        Corpus(games=(v,)),
+    )
+    assert report.verdict == "pass"
+    assert report.cases == 0
+    assert "skipped 1" in report.note
 
 
 def test_cohesive_operators(halves):
