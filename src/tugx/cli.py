@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -38,7 +39,14 @@ from .comm import (
     named_graph_solution,
     solve_by_fairness_induction,
 )
-from .errors import MissingStructure, TugxError, UnknownName
+from .errors import (
+    BadName,
+    DomainViolation,
+    MissingStructure,
+    TugxError,
+    UnknownName,
+    check_name_depth,
+)
 from .games import DEFAULT_TOL, GENERAL, PROFILES, Game, Tolerance, random_game
 from .io import GameFile, load_game_file, render_game_text, significant
 from .operators import (
@@ -118,6 +126,7 @@ def _load_anchor(path: str | None) -> Game | None:
 
 def _named_value_solution(name: str, anchor: Game | None):
     """named_solution plus anchored-operator spellings, which need --anchor."""
+    check_name_depth(name)
     for prefix, make in _ANCHORED.items():
         if name.startswith(prefix + "[") and name.endswith("]"):
             if anchor is None:
@@ -170,11 +179,29 @@ def _resolve_benchmark(name: str, kind: str, anchor: Game | None):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
+
+
+def _finite(x: float, what: str) -> float:
+    """x rounded for output; a non-finite number is a domain violation."""
+    if not math.isfinite(x):
+        raise DomainViolation(f"{what} is {x}, not a finite number")
+    return significant(x)
 
 
 def _payoff_dict(alloc) -> dict:
-    return {str(p): significant(x) for p, x in zip(alloc.players, alloc.values)}
+    return {
+        str(p): _finite(x, f"payoff of player {p}")
+        for p, x in zip(alloc.players, alloc.values)
+    }
+
+
+def _total(alloc, what: str = "payoff total") -> float:
+    """fsum of the payoffs; an overflow is a domain violation."""
+    try:
+        return alloc.total()
+    except OverflowError:
+        raise DomainViolation(f"{what} overflows") from None
 
 
 def _tol_from(args) -> Tolerance:
@@ -191,14 +218,15 @@ def _solve_with_operator(args, gf: GameFile, anchor: Game | None) -> int:
     v = gf.game
     try:
         f = _named_value_solution(args.benchmark, anchor)
-    except UnknownName:
+    except UnknownName as exc:
+        value_err = exc if isinstance(exc, BadName) else None
         try:
             F = named_graph_solution(args.benchmark)
         except UnknownName:
             try:
                 Fp = named_partition_solution(args.benchmark)
             except UnknownName:
-                raise UnknownName(
+                raise value_err or UnknownName(
                     f"no benchmark named {args.benchmark!r}"
                 ) from None
             if name not in ("ess", "partition-ess"):
@@ -227,9 +255,11 @@ def _solve_with_operator(args, gf: GameFile, anchor: Game | None) -> int:
             "operator": name,
             "benchmark": args.benchmark,
             "benchmark_payoffs": _payoff_dict(bench),
-            "surplus": significant(out.total() - bench.total()),
+            "surplus": _finite(
+                _total(out) - _total(bench, "benchmark total"), "surplus"
+            ),
             "payoffs": _payoff_dict(out),
-            "total": significant(out.total()),
+            "total": significant(_total(out)),
         }
     )
     return 0
@@ -246,14 +276,16 @@ def _cmd_solve(args) -> int:
     try:
         sol = _named_value_solution(name, anchor)
         out = sol(gf.game)
-    except UnknownName:
+    except UnknownName as exc:
+        # a specific reason (bad parameter, nesting too deep) beats the generic one
+        value_err = exc if isinstance(exc, BadName) else None
         try:
             gsol = named_graph_solution(name)
         except UnknownName:
             try:
                 psol = named_partition_solution(name)
             except UnknownName:
-                raise UnknownName(f"no solution named {name!r}") from None
+                raise value_err or UnknownName(f"no solution named {name!r}") from None
             if gf.partition is None:
                 raise MissingStructure(
                     f"{name!r} needs a partition in the game file"
@@ -267,7 +299,7 @@ def _cmd_solve(args) -> int:
         {
             "solution": name,
             "payoffs": _payoff_dict(out),
-            "total": significant(out.total()),
+            "total": significant(_total(out)),
         }
     )
     return 0
@@ -494,6 +526,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a sum leaves the float range ({exc})", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainViolation, InconsistentSystem, UnknownName
+from .errors import DomainViolation, InconsistentSystem, UnknownName, check_name_depth
 from .games import DEFAULT_TOL, Game, Tolerance, iter_set_partitions, subgame
 from .solutions import Allocation, shapley
 
@@ -314,6 +314,7 @@ _ALIASES = {"ad": "aumann-dreze", "ee-ad": "ee-aumann-dreze"}
 
 
 def named_partition_solution(name: str) -> PartitionSolution:
+    check_name_depth(name)
     key = _ALIASES.get(name, name)
     if key in _BASE:
         return _BASE[key]

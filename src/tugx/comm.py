@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import DomainViolation, InconsistentSystem, UnknownName
+from .errors import DomainViolation, InconsistentSystem, UnknownName, check_name_depth
 from .games import DEFAULT_TOL, Game, Tolerance
 from .solutions import Allocation, shapley
 
@@ -130,15 +130,62 @@ def components(g: Graph, coalition: Iterable[int] | None = None) -> tuple[frozen
 
 
 def restricted_game(v: Game, g: Graph) -> Game:
-    """Each coalition earns the sum of its connected parts' worths."""
+    """Each coalition earns the sum of its connected parts' worths.
+
+    Coalitions are filled in ascending mask order as ``S = h | below``, with
+    h the highest player of S.  The parts of S are the parts of ``below``
+    that h does not touch, plus h joined with those it does.  ``rest_of[S]``
+    is S minus the part holding h, so walking ``below, rest_of[below], ...``
+    visits one part of ``below`` per step, and a mask is connected exactly
+    when its ``rest_of`` is 0.
+
+    The worth of S is ``math.fsum`` over its parts' worths, as if each part
+    were found by a search of its own: a connected S keeps ``v(S)`` and two
+    parts take one addition, which is what fsum returns for one or two terms
+    (fsum turns -0.0 into 0.0, hence the ``+ 0.0``).  fsum is exact and
+    order-independent, so every worth is bit-identical to summing the parts
+    of each coalition found from scratch.  Only overflow differs: two parts
+    then add to inf, which ``Game`` rejects, where fsum raises OverflowError.
+    """
     if g.players != v.players:
         raise ValueError("graph and game must share the player set")
-    adj = _adjacency(g)
-    worth = [0.0]
-    for mask in range(1, 1 << v.n):
-        worth.append(
-            math.fsum(v.worth[c] for c in _components_of_mask(adj, mask))
-        )
+    vw = [x + 0.0 for x in v.worth]
+    worth = vw[:]
+    rest_of = [0] * len(vw)
+    fsum = math.fsum
+    for k, near in enumerate(_adjacency(g)):
+        h = 1 << k
+        for below in range(1, h):
+            s = h | below
+            if not rest_of[below]:
+                # below is connected: S is too if h touches it
+                if not below & near:
+                    rest_of[s] = below
+                    worth[s] = vw[below] + vw[h]
+                continue
+            joined = h
+            parts = []
+            r = below
+            while r & near:
+                nxt = rest_of[r]
+                part = r ^ nxt
+                if part & near:
+                    joined |= part
+                else:
+                    parts.append(vw[part])
+                r = nxt
+            rest_of[s] = s ^ joined
+            while r:
+                nxt = rest_of[r]
+                parts.append(vw[r ^ nxt])
+                r = nxt
+            if not parts:
+                continue  # S is connected: worth[s] is already v(S)
+            if len(parts) == 1:
+                worth[s] = vw[joined] + parts[0]
+            else:
+                parts.append(vw[joined])
+                worth[s] = fsum(parts)
     return Game(v.players, tuple(worth))
 
 
@@ -341,6 +388,7 @@ _BASE: dict[str, GraphSolution] = {
 
 
 def named_graph_solution(name: str) -> GraphSolution:
+    check_name_depth(name)
     if name in _BASE:
         return _BASE[name]
     if name.startswith("graph-ess[") and name.endswith("]"):

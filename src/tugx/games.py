@@ -196,19 +196,22 @@ def permute_game(v: Game, mapping: Mapping[int, int]) -> Game:
 
 
 def subgame(v: Game, coalition: Iterable[int]) -> Game:
-    """Restriction of the worth table to subsets of the given coalition."""
+    """Restriction of the worth table to subsets of the given coalition.
+
+    The parent mask of every sub-coalition is built by doubling: for each
+    kept bit, in ascending order, the list so far is repeated with that bit
+    set, so entry t holds the parent mask whose kept bits spell t.  The
+    worths are gathered unchanged.
+    """
     keep = v.mask_of(coalition)
     if keep == 0:
         raise ValueError("a subgame needs a nonempty coalition")
-    bits = [k for k in range(v.n) if keep >> k & 1]
-    worth = []
-    for sub in range(1 << len(bits)):
-        mask = 0
-        for t, k in enumerate(bits):
-            if sub >> t & 1:
-                mask |= 1 << k
-        worth.append(v.worth[mask])
-    return Game(v.members(keep), tuple(worth))
+    idx = [0]
+    for k in range(v.n):
+        if keep >> k & 1:
+            b = 1 << k
+            idx += [m | b for m in idx]
+    return Game(v.members(keep), tuple(map(v.worth.__getitem__, idx)))
 
 
 def unanimity_game(players: Iterable[int], carriers: Iterable[int]) -> Game:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import DomainViolation, UnknownName
+from .errors import BadName, DomainViolation, UnknownName
 from .games import DEFAULT_TOL, Game, Tolerance, iter_set_partitions
 from .solutions import (
     ALL_GAMES,
@@ -345,5 +345,5 @@ def named_operator(name: str) -> Operator:
         try:
             return weighted_operator(float(name.split(":", 1)[1]))
         except ValueError:
-            raise UnknownName(f"bad blend parameter in {name!r}") from None
+            raise BadName(f"bad blend parameter in {name!r}") from None
     raise UnknownName(f"unknown operator {name!r}")

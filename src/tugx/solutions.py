@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
+from operator import mul, sub
 from typing import Callable, Iterable, Mapping
 
-from .errors import DomainViolation, UnknownName
+from .errors import BadName, DomainViolation, UnknownName, check_name_depth
 from .games import DEFAULT_TOL, Game, Tolerance
 
 ALL_GAMES = "all"
@@ -83,22 +84,39 @@ def singleton_total(v: Game) -> float:
 def shapley(v: Game) -> Allocation:
     """Average marginal contribution over coalition sizes.
 
-    Each payoff is an fsum over one term per coalition containing the player,
-    so relabeled games produce bit-identical payoff multisets.
+    Each payoff is an fsum over one term ``w(|S|) * (v(S) - v(S minus i))``
+    per coalition S containing the player, so relabeled games produce
+    bit-identical payoff multisets.
+
+    The terms of player bit b are built a whole table slice at a time: the
+    masks holding b come either as runs ``[h, h + b)`` or as strides
+    ``[j::2b]``, whichever needs fewer slices, and ``wt`` gives each mask's
+    weight.  fsum is exact and order-independent, so building the same
+    terms in this order leaves every payoff bit-identical, and only one
+    player's terms are in flight at a time.
     """
     n = v.n
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = [fact[s - 1] * fact[n - s] / fact[n] for s in range(n + 1)]
-    terms: list[list[float]] = [[] for _ in range(n)]
-    for mask in range(1, 1 << n):
-        w = weight[mask.bit_count()]
-        val = v.worth[mask]
-        rem = mask
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            terms[b.bit_length() - 1].append(w * (val - v.worth[mask ^ b]))
-    return Allocation(v.players, tuple(math.fsum(t) for t in terms))
+    size = 1 << n
+    wt = [weight[m.bit_count()] for m in range(size)]
+    vw = v.worth
+    payoffs = []
+    for k in range(n):
+        b = 1 << k
+        step = b << 1
+        if b * b >= size >> 1:
+            slices = (
+                map(mul, wt[h : h + b], map(sub, vw[h : h + b], vw[h - b : h]))
+                for h in range(b, size, step)
+            )
+        else:
+            slices = (
+                map(mul, wt[j::step], map(sub, vw[j::step], vw[j - b :: step]))
+                for j in range(b, step)
+            )
+        payoffs.append(math.fsum(chain.from_iterable(slices)))
+    return Allocation(v.players, tuple(payoffs))
 
 
 def shapley_permutation_oracle(v: Game) -> Allocation:
@@ -205,6 +223,7 @@ _ALIASES = {"ed": "equal-division", "stand-alone": "standalone"}
 
 def named_solution(name: str) -> Solution:
     """Look up a solution by name; supports constant:<c> and op[sol] nesting."""
+    check_name_depth(name)
     key = _ALIASES.get(name, name)
     if key in _BASE:
         return _BASE[key]
@@ -214,7 +233,7 @@ def named_solution(name: str) -> Solution:
         try:
             return constant_solution(float(key.split(":", 1)[1]))
         except ValueError:
-            raise UnknownName(f"bad constant payoff in {name!r}") from None
+            raise BadName(f"bad constant payoff in {name!r}") from None
     if key.endswith("]") and "[" in key:
         from .operators import named_operator, wrap
 

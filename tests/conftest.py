@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -37,3 +38,24 @@ def halves() -> Game:
 @pytest.fixture
 def fixture_dir() -> pathlib.Path:
     return FIXTURES
+
+
+@pytest.fixture
+def wide_game():
+    """Factory for seeded games off the 1/64 grid.
+
+    Worths take either sign with magnitudes from 1e-8 to 1e11, and about one
+    in twenty is a signed zero, so sums of worths round and zero signs show.
+    """
+
+    def make(players, seed: int) -> Game:
+        rng = random.Random(seed)
+        worth = [0.0]
+        for _ in range(1, 1 << len(players)):
+            if rng.random() < 0.05:
+                worth.append(rng.choice((0.0, -0.0)))
+            else:
+                worth.append(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 11.0))
+        return Game(tuple(players), tuple(worth))
+
+    return make

@@ -2,9 +2,13 @@ import json
 
 import pytest
 
-from tugx.cli import main
+from tugx.cli import _named_value_solution, main
+from tugx.coalition import named_partition_solution
+from tugx.comm import empty_graph, named_graph_solution
+from tugx.errors import UnknownName
 from tugx.games import Game
 from tugx.io import render_game_text
+from tugx.solutions import named_solution
 
 
 def run(capsys, *argv):
@@ -104,6 +108,80 @@ def test_non_finite_constant_is_rejected(capsys, fixture_dir):
         code, out, err = run(capsys, "solve", duo, "-s", name)
         assert code == 2 and name in err
         assert out == ""
+
+
+def test_constant_error_keeps_its_reason(capsys, fixture_dir):
+    duo = str(fixture_dir / "duo.json")
+    for argv in (("-s", "constant:inf"), ("-s", "ess[constant:nan]")):
+        code, out, err = run(capsys, "solve", duo, *argv)
+        assert code == 2 and "bad constant payoff" in err
+        assert out == ""
+    code, out, err = run(
+        capsys, "solve", duo, "--operator", "ess", "-f", "constant:inf"
+    )
+    assert code == 2 and "bad constant payoff" in err
+
+
+def test_non_finite_payoffs_exit_2(capsys, tmp_path):
+    # Shapley payoff of player 1 is 0.5 * 1e308 + 0.5 * (1e308 + 1e308) = inf
+    wide = tmp_path / "wide.json"
+    wide.write_text(
+        render_game_text(
+            Game.from_table([1, 2], {(1,): 1e308, (2,): -1e308, (1, 2): 1e308})
+        )
+    )
+    for argv in (("-s", "shapley"), ("--operator", "ess", "-f", "shapley")):
+        code, out, err = run(capsys, "solve", str(wide), *argv)
+        assert code == 2 and out == ""
+        assert "payoff of player 1 is inf" in err
+    # finite payoffs whose total overflows
+    big = tmp_path / "big.json"
+    big.write_text(
+        render_game_text(
+            Game.from_table([1, 2], {(1,): 1.5e308, (2,): 1.5e308, (1, 2): 1e308})
+        )
+    )
+    code, out, err = run(capsys, "solve", str(big), "-s", "standalone")
+    assert code == 2 and out == ""
+    assert "payoff total overflows" in err
+    # restricted worths that overflow: two or three unlinked parts of 1e308
+    for n in (2, 3):
+        players = tuple(range(1, n + 1))
+        lone = tmp_path / f"lone{n}.json"
+        lone.write_text(
+            render_game_text(
+                Game.from_table(players, {(p,): 1e308 for p in players}),
+                graph=empty_graph(players),
+            )
+        )
+        code, out, err = run(capsys, "solve", str(lone), "-s", "myerson")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+def test_deep_names_exit_2(capsys, fixture_dir):
+    duo = str(fixture_dir / "duo.json")
+    deep = "ess[" * 3000 + "shapley" + "]" * 3000
+    code, out, err = run(capsys, "solve", duo, "-s", deep)
+    assert code == 2 and out == ""
+    assert "nests deeper than 32 levels" in err and "Traceback" not in err
+    code, out, err = run(capsys, "solve", duo, "--operator", "ess", "-f", deep)
+    assert code == 2 and "nests deeper than 32 levels" in err
+    for lookup in (
+        named_solution,
+        named_graph_solution,
+        named_partition_solution,
+        lambda name: _named_value_solution(name, None),
+    ):
+        with pytest.raises(UnknownName):
+            lookup(deep)
+    # the cap itself still resolves
+    at_cap = "ess[" * 32 + "shapley" + "]" * 32
+    code, out, _ = run(capsys, "solve", duo, "-s", at_cap)
+    assert code == 0 and json.loads(out)["total"] == 6.0
+    graph_deep = "graph-ess[" * 33 + "myerson" + "]" * 33
+    with pytest.raises(UnknownName, match="nests deeper"):
+        named_graph_solution(graph_deep)
 
 
 def test_count_below_one_is_rejected(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +23,7 @@ from tugx.comm import (
     solve_by_fairness_induction,
 )
 from tugx.errors import DomainViolation, InconsistentSystem, UnknownName
-from tugx.games import DEFAULT_TOL, Game, random_game
+from tugx.games import DEFAULT_TOL, PROFILES, Game, random_game
 from tugx.solutions import Allocation, allocations_close
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -155,3 +157,61 @@ def test_named_graph_solution(trio, pair_link):
     assert allocations_close(ext(trio, pair_link), EE_MYERSON(trio, pair_link), DEFAULT_TOL)
     with pytest.raises(UnknownName):
         named_graph_solution("nope")
+
+
+def _reference_restricted_game(v, g):
+    """The former kernel: a fresh search for the parts of every coalition."""
+    pos = {p: k for k, p in enumerate(g.players)}
+    adj = [0] * len(g.players)
+    for a, b in g.links:
+        adj[pos[a]] |= 1 << pos[b]
+        adj[pos[b]] |= 1 << pos[a]
+    worth = [0.0]
+    for mask in range(1, 1 << v.n):
+        parts = []
+        remaining = mask
+        while remaining:
+            comp = remaining & -remaining
+            frontier = comp
+            while frontier:
+                grown = 0
+                f = frontier
+                while f:
+                    b = f & -f
+                    f ^= b
+                    grown |= adj[b.bit_length() - 1]
+                frontier = grown & mask & ~comp
+                comp |= frontier
+            parts.append(comp)
+            remaining &= ~comp
+        worth.append(math.fsum(v.worth[c] for c in parts))
+    return tuple(worth)
+
+
+def _test_graphs(players, rng):
+    first = players[0]
+    yield empty_graph(players)
+    yield Graph.from_pairs(players, zip(players, players[1:]))
+    yield Graph.from_pairs(players, ((first, p) for p in players[1:]))
+    yield complete_graph(players)
+    for density in (0.3, 0.6):
+        pairs = combinations(players, 2)
+        yield Graph.from_pairs(players, (p for p in pairs if rng.random() < density))
+
+
+def test_restricted_game_matches_per_mask_reference(wide_game):
+    rng = random.Random(11)
+    for n in range(1, 11):
+        players = tuple(range(2, 2 + n))
+        games = [
+            random_game(players, seed=seed, profile=profile)
+            for profile in PROFILES
+            for seed in range(2)
+        ]
+        games.append(wide_game(players, seed=n))
+        for v in games:
+            for g in _test_graphs(players, rng):
+                got = restricted_game(v, g).worth
+                ref = _reference_restricted_game(v, g)
+                assert got == ref
+                assert [x.hex() for x in got] == [x.hex() for x in ref]

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tugx.games import (
     GENERAL,
+    PROFILES,
     POSITIVE_SINGLETONS,
     ZERO_NORMALIZED,
     Game,
@@ -145,3 +147,33 @@ def test_tolerance_comparison():
     assert tol.eq(1e12, 1e12 * (1 + 1e-10))
     assert EXACT.eq(0.5, 0.5)
     assert not EXACT.eq(0.5, 0.5 + 1e-16)
+
+
+def _reference_subgame_worths(v, coalition):
+    """The former kernel: each parent mask assembled bit by bit."""
+    keep = v.mask_of(coalition)
+    bits = [k for k in range(v.n) if keep >> k & 1]
+    worth = []
+    for sub in range(1 << len(bits)):
+        mask = 0
+        for t, k in enumerate(bits):
+            if sub >> t & 1:
+                mask |= 1 << k
+        worth.append(v.worth[mask])
+    return tuple(worth)
+
+
+def test_subgame_matches_per_bit_reference(wide_game):
+    rng = random.Random(5)
+    for n in range(1, 11):
+        players = tuple(range(1, 2 * n + 1, 2))
+        games = [random_game(players, seed=n, profile=p) for p in PROFILES]
+        games.append(wide_game(players, seed=n))
+        for v in games:
+            masks = {v.full_mask} | {rng.randrange(1, 1 << n) for _ in range(4)}
+            for mask in masks:
+                sub = subgame(v, v.members(mask))
+                ref = _reference_subgame_worths(v, v.members(mask))
+                assert sub.players == v.members(mask)
+                assert sub.worth == ref
+                assert [x.hex() for x in sub.worth] == [x.hex() for x in ref]

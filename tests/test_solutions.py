@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tugx.errors import DomainViolation, UnknownName
-from tugx.games import DEFAULT_TOL, Game, random_game
+from tugx.games import DEFAULT_TOL, PROFILES, Game, random_game
 from tugx.solutions import (
     Allocation,
     EQUAL_DIVISION,
@@ -130,3 +130,36 @@ def test_named_solution_lookup(duo):
         named_solution("nope")
     with pytest.raises(UnknownName):
         named_solution("constant:abc")
+
+
+def _reference_shapley(v):
+    """The former kernel: every player's terms collected mask by mask."""
+    n = v.n
+    fact = [math.factorial(k) for k in range(n + 1)]
+    weight = [fact[s - 1] * fact[n - s] / fact[n] for s in range(n + 1)]
+    terms = [[] for _ in range(n)]
+    for mask in range(1, 1 << n):
+        w = weight[mask.bit_count()]
+        val = v.worth[mask]
+        rem = mask
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            terms[b.bit_length() - 1].append(w * (val - v.worth[mask ^ b]))
+    return tuple(math.fsum(t) for t in terms)
+
+
+def test_shapley_matches_per_mask_reference(wide_game):
+    for n in range(1, 11):
+        players = tuple(range(3, 3 + n))
+        games = [
+            random_game(players, seed=seed, profile=profile)
+            for profile in PROFILES
+            for seed in range(2)
+        ]
+        games.append(wide_game(players, seed=n))
+        for v in games:
+            got = shapley(v).values
+            ref = _reference_shapley(v)
+            assert got == ref
+            assert [x.hex() for x in got] == [x.hex() for x in ref]
