@@ -6,6 +6,24 @@ witness when something failed.  Hypothesis-carrying properties (the
 invariance and operator families) are checked on constructed game or
 benchmark pairs whose hypotheses hold bit-exactly; candidates whose
 hypotheses fail to hold exactly are dropped, never stretched.
+
+Each property is a checker: a generator over ``(subject, corpus, tol,
+**params)`` that yields three kinds of item.
+
+* An evaluation: a zero-argument callable that runs the rules.  The driver
+  calls it and sends back its result, or ``_SKIPPED`` when the call left a
+  rule's domain (``DomainViolation`` or ``MissingStructure``); that counts
+  as one skipped evaluation.
+* ``None`` for a case that passed.
+* A witness dict for a case that failed.  Checkers build it in the failing
+  branch only, so a passing case never renders a game.
+
+A checker may return a string saying why it can be vacuous; it heads the
+note of a report with no cases.  The driver, ``_drive``, is the one place
+that counts cases and skips, stops at the first failure, writes the note and
+builds the ``AxiomReport``.  ``check_axiom`` finds a property in the
+catalogue ``_CHECKERS`` as (subject kinds, checker, params), so the flavours
+of one property share a checker.
 """
 
 from __future__ import annotations
@@ -13,11 +31,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Any, Callable, Iterable, Iterator
+from itertools import combinations, permutations
+from operator import attrgetter
+from typing import Any, Callable, Generator, Iterable, Iterator
 
 from .coalition import (
     AUMANN_DREZE,
+    EE_AUMANN_DREZE,
+    PARTITION_ESS_OPERATOR,
     Partition,
     PartitionSolution,
     ZERO_PARTITION,
@@ -27,6 +48,8 @@ from .coalition import (
     split_off,
 )
 from .comm import (
+    EE_MYERSON,
+    GRAPH_ESS_OPERATOR,
     Graph,
     GraphSolution,
     MYERSON_SOLUTION,
@@ -51,10 +74,19 @@ from .games import (
     unanimity_game,
 )
 from .io import game_payload
-from .operators import max_partition_value
+from .operators import (
+    COHESIVE_ESS_OPERATOR,
+    COHESIVE_PS_OPERATOR,
+    ESS_OPERATOR,
+    PS_OPERATOR,
+    max_partition_value,
+    wrap,
+)
 from .solutions import (
     Allocation,
     EQUAL_DIVISION,
+    ESS_VALUE,
+    PS_VALUE,
     SHAPLEY,
     STAND_ALONE,
     Solution,
@@ -75,6 +107,12 @@ SUBJECT_KINDS = (
 DEFAULT_BENCHMARKS = (STAND_ALONE, EQUAL_DIVISION, SHAPLEY, constant_solution(1.5))
 DEFAULT_GRAPH_BENCHMARKS = (MYERSON_SOLUTION, ZERO_GRAPH)
 DEFAULT_PARTITION_BENCHMARKS = (AUMANN_DREZE, ZERO_PARTITION)
+
+# Corpus.build samples this many random graphs for each game of 4+ players
+# (besides the empty and complete graphs), and keeps at most this many of
+# each game's partitions.
+GRAPHS_PER_GAME = 12
+PARTITIONS_PER_GAME = 15
 
 
 @dataclass(frozen=True)
@@ -188,8 +226,6 @@ class Corpus:
         seed: int = 7,
         profile: str = GENERAL,
         include_examples: bool = True,
-        graphs_per_game: int = 12,
-        partitions_per_game: int = 15,
     ) -> "Corpus":
         rng = random.Random(int(seed))
         games: list[Game] = []
@@ -214,7 +250,7 @@ class Corpus:
             else:
                 pairs = list(combinations(v.players, 2))
                 graphs = [Graph(v.players, frozenset()), Graph(v.players, frozenset(pairs))]
-                for _ in range(graphs_per_game):
+                for _ in range(GRAPHS_PER_GAME):
                     chosen = [p for p in pairs if rng.random() < 0.5]
                     graphs.append(Graph(v.players, frozenset(chosen)))
             seen: set[frozenset] = set()
@@ -223,8 +259,8 @@ class Corpus:
                     seen.add(g.links)
                     comm.append((v, g))
             parts = list(iter_set_partitions(v.players))
-            if len(parts) > partitions_per_game:
-                parts = rng.sample(parts, partitions_per_game)
+            if len(parts) > PARTITIONS_PER_GAME:
+                parts = rng.sample(parts, PARTITIONS_PER_GAME)
             for P in parts:
                 partitioned.append((v, P))
         return cls(tuple(games), tuple(comm), tuple(partitioned))
@@ -240,118 +276,119 @@ class Corpus:
         )
 
 
-def _try(thunk: Callable[[], Any]) -> tuple[bool, Any]:
-    try:
-        return True, thunk()
-    except (DomainViolation, MissingStructure):
-        return False, None
+# ---------------------------------------------------------------------------
+# the driver and what checkers share
+
+_Checker = Generator[Any, Any, "str | None"]
+
+# Sent back for an evaluation that left a rule's domain.
+_SKIPPED = object()
 
 
-def _witness_game(v: Game, **extra: Any) -> dict:
-    out: dict[str, Any] = {"game": game_payload(v)}
-    out.update(extra)
-    return out
+def _drive(axiom: str, subject: str, checker: _Checker, note: str = "") -> AxiomReport:
+    """Run a checker to its end or to its first failure and report on it.
 
-
-def _note_for(cases: int, skipped: int, base: str = "") -> str:
-    bits = [base] if base else []
+    ``note`` heads the note of a passing report; a string the checker
+    returns takes its place when no case was tested.
+    """
+    cases = skipped = 0
+    witness = None
+    sent = None
+    while True:
+        try:
+            item = checker.send(sent)
+        except StopIteration as stop:
+            if cases == 0 and stop.value:
+                note = stop.value
+            break
+        if callable(item):
+            try:
+                sent = item()
+            except (DomainViolation, MissingStructure):
+                skipped += 1
+                sent = _SKIPPED
+        else:
+            cases += 1
+            if item is not None:
+                witness = item
+                break
+    bits = [note] if note and witness is None else []
     if cases == 0:
         bits.append("vacuous: no applicable cases")
     if skipped:
         bits.append(f"skipped {skipped} out-of-domain evaluations")
-    return "; ".join(bits)
+    verdict = "pass" if witness is None else "fail"
+    return AxiomReport(axiom, subject, verdict, cases, witness, "; ".join(bits))
 
 
-# ---------------------------------------------------------------------------
-# generic evaluation streams
+def _witness(v: Game, structure: Graph | Partition | None = None, **extra: Any) -> dict:
+    """A failure's witness: the game, its graph or partition, extra fields."""
+    out: dict[str, Any] = {"game": game_payload(v)}
+    if isinstance(structure, Graph):
+        out["graph"] = [list(l) for l in structure.sorted_links()]
+    elif structure is not None:
+        out["partition"] = [sorted(b) for b in structure]
+    out.update(extra)
+    return out
 
 
-def _value_items(subject: Subject, corpus: Corpus):
-    for v in corpus.games:
-        yield (v,), {}
+def _game_items(corpus: Corpus) -> Iterator[tuple[Game]]:
+    return ((v,) for v in corpus.games)
 
 
-def _graph_items(subject: Subject, corpus: Corpus):
-    for v, g in corpus.comm:
-        yield (v, g), {"graph": [list(l) for l in g.sorted_links()]}
-
-
-def _partition_items(subject: Subject, corpus: Corpus):
-    for v, P in corpus.partitioned:
-        yield (v, P), {"partition": [sorted(b) for b in P]}
-
-
-_ITEMS = {
-    "value": _value_items,
-    "graph": _graph_items,
-    "partition": _partition_items,
-    "operator": _value_items,
-    "graph-operator": _graph_items,
-    "partition-operator": _partition_items,
+# The argument tuples a subject of each kind is evaluated at (after the
+# benchmark, for operators).
+_ITEMS: dict[str, Callable[[Corpus], Iterable[tuple]]] = {
+    "value": _game_items,
+    "graph": attrgetter("comm"),
+    "partition": attrgetter("partitioned"),
+    "operator": _game_items,
+    "graph-operator": attrgetter("comm"),
+    "partition-operator": attrgetter("partitioned"),
 }
 
 
-def _is_operator_kind(kind: str) -> bool:
-    return kind.endswith("operator")
+def _name(f) -> str:
+    return getattr(f, "name", "?")
 
 
-def _evaluations(subject: Subject, corpus: Corpus) -> Iterator[tuple]:
-    """Yield (thunk, args, context) for every evaluation the subject allows."""
-    items = _ITEMS[subject.kind](subject, corpus)
-    if _is_operator_kind(subject.kind):
-        for args, ctx in items:
-            for f in subject.pool:
-                yield (
-                    lambda args=args, f=f: subject.target(f, *args),
-                    args,
-                    dict(ctx, benchmark=getattr(f, "name", "?")),
-                )
-    else:
-        for args, ctx in items:
-            yield (lambda args=args: subject.target(*args)), args, ctx
+# check_axiom puts the axiom's name in front of these two messages.
+def _benchmark(subject: Subject):
+    if subject.benchmark is None:
+        raise IncompatibleSubject("needs a benchmark on the subject")
+    return subject.benchmark
+
+
+def _pool(subject: Subject) -> tuple:
+    if not subject.pool:
+        raise IncompatibleSubject("needs a benchmark pool")
+    return subject.pool
 
 
 # ---------------------------------------------------------------------------
 # totals: efficiency flavors
 
 
-def _check_total(subject, corpus, tol, axiom, target_of):
-    cases = skipped = 0
-    for thunk, args, ctx in _evaluations(subject, corpus):
-        ok, out = _try(thunk)
-        if not ok:
-            skipped += 1
-            continue
-        v = args[0]
-        want = target_of(v)
-        got = out.total()
-        cases += 1
-        if not tol.eq(got, want):
-            return AxiomReport(
-                axiom,
-                subject.name,
-                "fail",
-                cases,
-                _witness_game(v, **ctx, total=got, required=want),
-                _note_for(cases, skipped),
+def _best_worth(v: Game) -> float:
+    return max_partition_value(v).value
+
+
+def _totals(subject, corpus, tol, target):
+    """Payoff total against target(v) at every evaluation the subject allows:
+    one per input for a rule, one per pool benchmark for an operator."""
+    rule = subject.target
+    pool = subject.pool if subject.kind.endswith("operator") else (None,)
+    for args in _ITEMS[subject.kind](corpus):
+        want = target(args[0])
+        for f in pool:
+            out = yield (lambda: rule(*args)) if f is None else (lambda: rule(f, *args))
+            if out is _SKIPPED:
+                continue
+            got = out.total()
+            extra = {} if f is None else {"benchmark": _name(f)}
+            yield None if tol.eq(got, want) else _witness(
+                *args, **extra, total=got, required=want
             )
-    return AxiomReport(
-        axiom, subject.name, "pass", cases, None, _note_for(cases, skipped)
-    )
-
-
-def _check_efficiency(subject, corpus, tol):
-    return _check_total(subject, corpus, tol, "efficiency", lambda v: v.grand)
-
-
-def _check_cohesive_efficiency(subject, corpus, tol):
-    return _check_total(
-        subject,
-        corpus,
-        tol,
-        "cohesive-efficiency",
-        lambda v: max_partition_value(v).value,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,36 +403,24 @@ def _rotation_fixing(players: tuple[int, ...], fixed: int | None) -> dict[int, i
     return mapping
 
 
-def _check_symmetry(subject, corpus, tol):
+def _symmetry(subject, corpus, tol):
     phi = subject.target
-    cases = skipped = 0
     for v in corpus.games:
         mapping = _rotation_fixing(v.players, None)
         w = permute_game(v, mapping)
-        ok, pair = _try(lambda: (phi(v), phi(w)))
-        if not ok:
-            skipped += 1
+        pair = yield lambda: (phi(v), phi(w))
+        if pair is _SKIPPED:
             continue
         a, b = pair
         for i in v.players:
-            cases += 1
-            if not tol.eq(a[i], b[mapping[i]]):
-                return AxiomReport(
-                    "symmetry",
-                    subject.name,
-                    "fail",
-                    cases,
-                    _witness_game(v, player=i, image=mapping[i], lhs=a[i], rhs=b[mapping[i]]),
-                    _note_for(cases, skipped),
-                )
-    return AxiomReport(
-        "symmetry", subject.name, "pass", cases, None, _note_for(cases, skipped)
-    )
+            j = mapping[i]
+            yield None if tol.eq(a[i], b[j]) else _witness(
+                v, player=i, image=j, lhs=a[i], rhs=b[j]
+            )
 
 
-def _check_equal_treatment(subject, corpus, tol):
+def _equal_treatment(subject, corpus, tol):
     phi = subject.target
-    cases = skipped = 0
     for v in corpus.games:
         pairs = [
             (i, j)
@@ -404,24 +429,13 @@ def _check_equal_treatment(subject, corpus, tol):
         ]
         if not pairs:
             continue
-        ok, out = _try(lambda: phi(v))
-        if not ok:
-            skipped += 1
+        out = yield lambda: phi(v)
+        if out is _SKIPPED:
             continue
         for i, j in pairs:
-            cases += 1
-            if not tol.eq(out[i], out[j]):
-                return AxiomReport(
-                    "equal-treatment",
-                    subject.name,
-                    "fail",
-                    cases,
-                    _witness_game(v, players=[i, j], lhs=out[i], rhs=out[j]),
-                    _note_for(cases, skipped),
-                )
-    return AxiomReport(
-        "equal-treatment", subject.name, "pass", cases, None, _note_for(cases, skipped)
-    )
+            yield None if tol.eq(out[i], out[j]) else _witness(
+                v, players=[i, j], lhs=out[i], rhs=out[j]
+            )
 
 
 def _scaled_game(v: Game) -> Game:
@@ -465,26 +479,21 @@ def _surplus_stats(f, v: Game) -> tuple[Allocation, float, float]:
     return out, total, v.grand - total
 
 
-def _check_invariance(subject, corpus, tol, axiom, flavor):
-    """Shared body of the four payoff-invariance checks.
-
-    flavor: "surplus" | "ratio" | "cohesive-surplus" | "cohesive-ratio".
+def _invariance(subject, corpus, tol, cohesive=False, ratio=False):
+    """Player i's payoff is the same at v and at a partner game w when the
+    benchmark pays i the same at both and the surplus over the benchmark is
+    the same (ratio: the benchmark total and the target worth are).  The
+    target is the grand worth, or the best partition worth when cohesive.
     """
     phi = subject.target
-    f = subject.benchmark
-    if f is None:
-        raise IncompatibleSubject(f"{axiom} needs a benchmark on the subject")
-    cases = skipped = 0
-    cohesive = flavor.startswith("cohesive")
-    ratio = flavor.endswith("ratio")
+    f = _benchmark(subject)
     for v in corpus.games:
         # The best-partition worth of v, computed on first use.
         best_v = None
         for i in v.players:
             for w in _invariance_partners(f, v, i):
-                ok, stats = _try(lambda: (_surplus_stats(f, v), _surplus_stats(f, w)))
-                if not ok:
-                    skipped += 1
+                stats = yield lambda: (_surplus_stats(f, v), _surplus_stats(f, w))
+                if stats is _SKIPPED:
                     continue
                 (fv, tv, sv), (fw, tw, sw) = stats
                 if fv[i] != fw[i]:
@@ -500,413 +509,129 @@ def _check_invariance(subject, corpus, tol, axiom, flavor):
                         continue
                 elif sv != sw:
                     continue
-                ok, pair = _try(lambda: (phi(v)[i], phi(w)[i]))
-                if not ok:
-                    skipped += 1
+                pair = yield lambda: (phi(v)[i], phi(w)[i])
+                if pair is _SKIPPED:
                     continue
-                cases += 1
-                if not tol.eq(pair[0], pair[1]):
-                    return AxiomReport(
-                        axiom,
-                        subject.name,
-                        "fail",
-                        cases,
-                        _witness_game(
-                            v, partner=game_payload(w), player=i, lhs=pair[0], rhs=pair[1]
-                        ),
-                        _note_for(cases, skipped),
-                    )
-    return AxiomReport(
-        axiom, subject.name, "pass", cases, None, _note_for(cases, skipped)
-    )
-
-
-def _check_surplus_invariance(subject, corpus, tol):
-    return _check_invariance(
-        subject, corpus, tol, "equal-surplus-invariance", "surplus"
-    )
-
-
-def _check_ratio_invariance(subject, corpus, tol):
-    return _check_invariance(subject, corpus, tol, "equal-ratio-invariance", "ratio")
-
-
-def _check_cohesive_surplus_invariance(subject, corpus, tol):
-    return _check_invariance(
-        subject, corpus, tol, "equal-cohesive-surplus-invariance", "cohesive-surplus"
-    )
-
-
-def _check_cohesive_ratio_invariance(subject, corpus, tol):
-    return _check_invariance(
-        subject, corpus, tol, "equal-cohesive-ratio-invariance", "cohesive-ratio"
-    )
+                a, b = pair
+                yield None if tol.eq(a, b) else _witness(
+                    v, partner=game_payload(w), player=i, lhs=a, rhs=b
+                )
 
 
 # ---------------------------------------------------------------------------
-# graph axioms
+# graph and partition axioms
 
 
-def _check_component_efficiency(subject, corpus, tol):
+def _part_totals(subject, corpus, tol, share=None):
+    """Payoff total of each component (graph) or block (partition) C against
+    what C is owed: its worth v(C) when share is None; v(C) plus |C|/n of the
+    surplus of v(N) over the components' worths when share is "worth"; the
+    benchmark's total on C plus |C|/n of the surplus of v(N) over the
+    benchmark's total when share is "benchmark".
+    """
     phi = subject.target
-    cases = skipped = 0
-    for v, g in corpus.comm:
-        ok, out = _try(lambda: phi(v, g))
-        if not ok:
-            skipped += 1
+    F = _benchmark(subject) if share == "benchmark" else None
+    part = "component" if subject.kind == "graph" else "block"
+    for v, s in _ITEMS[subject.kind](corpus):
+        pair = yield lambda: (phi(v, s), None if F is None else F(v, s))
+        if pair is _SKIPPED:
             continue
-        for comp in components(g):
-            cases += 1
-            got = math.fsum(out[i] for i in sorted(comp))
-            want = v.value(comp)
-            if not tol.eq(got, want):
-                return AxiomReport(
-                    "component-efficiency",
-                    subject.name,
-                    "fail",
-                    cases,
-                    _witness_game(
-                        v,
-                        graph=[list(l) for l in g.sorted_links()],
-                        component=sorted(comp),
-                        total=got,
-                        required=want,
-                    ),
-                    _note_for(cases, skipped),
-                )
-    return AxiomReport(
-        "component-efficiency",
-        subject.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, skipped),
-    )
+        out, bench = pair
+        parts = components(s) if part == "component" else s
+        if bench is not None:
+            surplus = v.grand - math.fsum(bench.values)
+        elif share is not None:
+            surplus = v.grand - math.fsum(v.value(c) for c in parts)
+        for C in parts:
+            members = sorted(C)
+            got = math.fsum(out[i] for i in members)
+            if bench is None:
+                want = v.value(C)
+            else:
+                want = math.fsum(bench[i] for i in members)
+            if share is not None:
+                want += len(C) * surplus / v.n
+            yield None if tol.eq(got, want) else _witness(
+                v, s, **{part: members}, total=got, required=want
+            )
 
 
-def _link_fairness_body(subject, corpus, tol, axiom):
+def _link_fairness(subject, corpus, tol):
     phi = subject.target
-    cases = skipped = 0
     for v, g in corpus.comm:
         for link in g.sorted_links():
             a, b = link
-            ok, trio = _try(lambda: (phi(v, g), phi(v, g.without(link))))
-            if not ok:
-                skipped += 1
+            pair = yield lambda: (phi(v, g), phi(v, g.without(link)))
+            if pair is _SKIPPED:
                 continue
-            full, cut = trio
-            cases += 1
+            full, cut = pair
             da = full[a] - cut[a]
             db = full[b] - cut[b]
-            if not tol.eq(da, db):
-                return AxiomReport(
-                    axiom,
-                    subject.name,
-                    "fail",
-                    cases,
-                    _witness_game(
-                        v,
-                        graph=[list(l) for l in g.sorted_links()],
-                        link=list(link),
-                        lhs=da,
-                        rhs=db,
-                    ),
-                    _note_for(cases, skipped),
-                )
-    return AxiomReport(
-        axiom, subject.name, "pass", cases, None, _note_for(cases, skipped)
-    )
-
-
-def _check_link_fairness(subject, corpus, tol):
-    return _link_fairness_body(subject, corpus, tol, "link-fairness")
-
-
-def _check_link_fairness_at_game(subject, corpus, tol):
-    # same equations; the subject's domain is expected to pin the game,
-    # with off-domain evaluations skipped rather than failed
-    return _link_fairness_body(subject, corpus, tol, "link-fairness-at-game")
-
-
-def _check_component_surplus_fairness(subject, corpus, tol):
-    phi = subject.target
-    cases = skipped = 0
-    for v, g in corpus.comm:
-        ok, out = _try(lambda: phi(v, g))
-        if not ok:
-            skipped += 1
-            continue
-        comps = components(g)
-        surplus = v.grand - math.fsum(v.value(c) for c in comps)
-        for comp in comps:
-            cases += 1
-            got = math.fsum(out[i] for i in sorted(comp))
-            want = v.value(comp) + len(comp) * surplus / v.n
-            if not tol.eq(got, want):
-                return AxiomReport(
-                    "component-surplus-fairness",
-                    subject.name,
-                    "fail",
-                    cases,
-                    _witness_game(
-                        v,
-                        graph=[list(l) for l in g.sorted_links()],
-                        component=sorted(comp),
-                        total=got,
-                        required=want,
-                    ),
-                    _note_for(cases, skipped),
-                )
-    return AxiomReport(
-        "component-surplus-fairness",
-        subject.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, skipped),
-    )
-
-
-def _check_relative_component_surplus_fairness(subject, corpus, tol):
-    phi = subject.target
-    F = subject.benchmark
-    if F is None:
-        raise IncompatibleSubject(
-            "relative-component-surplus-fairness needs a benchmark on the subject"
-        )
-    cases = skipped = 0
-    for v, g in corpus.comm:
-        ok, pair = _try(lambda: (phi(v, g), F(v, g)))
-        if not ok:
-            skipped += 1
-            continue
-        out, bench = pair
-        surplus = v.grand - math.fsum(bench.values)
-        for comp in components(g):
-            cases += 1
-            got = math.fsum(out[i] for i in sorted(comp))
-            want = (
-                math.fsum(bench[i] for i in sorted(comp))
-                + len(comp) * surplus / v.n
+            yield None if tol.eq(da, db) else _witness(
+                v, g, link=list(link), lhs=da, rhs=db
             )
-            if not tol.eq(got, want):
-                return AxiomReport(
-                    "relative-component-surplus-fairness",
-                    subject.name,
-                    "fail",
-                    cases,
-                    _witness_game(
-                        v,
-                        graph=[list(l) for l in g.sorted_links()],
-                        component=sorted(comp),
-                        total=got,
-                        required=want,
-                    ),
-                    _note_for(cases, skipped),
-                )
-    return AxiomReport(
-        "relative-component-surplus-fairness",
-        subject.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, skipped),
-    )
 
 
-# ---------------------------------------------------------------------------
-# partition axioms
-
-
-def _check_split_off_balance(subject, corpus, tol):
+def _split_off_balance(subject, corpus, tol):
     phi = subject.target
-    cases = skipped = 0
     for v, P in corpus.partitioned:
         for block in P:
-            if len(block) < 2:
-                continue
             for i, j in combinations(sorted(block), 2):
-                ok, outs = _try(
-                    lambda: (
-                        phi(v, P),
-                        phi(v, split_off(P, j)),
-                        phi(v, split_off(P, i)),
-                    )
+                outs = yield lambda: (
+                    phi(v, P),
+                    phi(v, split_off(P, j)),
+                    phi(v, split_off(P, i)),
                 )
-                if not ok:
-                    skipped += 1
+                if outs is _SKIPPED:
                     continue
                 base, no_j, no_i = outs
-                cases += 1
                 lhs = base[i] - no_j[i]
                 rhs = base[j] - no_i[j]
-                if not tol.eq(lhs, rhs):
-                    return AxiomReport(
-                        "split-off-balance",
-                        subject.name,
-                        "fail",
-                        cases,
-                        _witness_game(
-                            v,
-                            partition=[sorted(b) for b in P],
-                            players=[i, j],
-                            lhs=lhs,
-                            rhs=rhs,
-                        ),
-                        _note_for(cases, skipped),
-                    )
-    return AxiomReport(
-        "split-off-balance",
-        subject.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, skipped),
-    )
+                yield None if tol.eq(lhs, rhs) else _witness(
+                    v, P, players=[i, j], lhs=lhs, rhs=rhs
+                )
 
 
-def _cycle_orders(members: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct removal cycles: fix the first member, permute the rest."""
-    from itertools import permutations
+def _cycle_orders(block: frozenset[int]) -> Iterator[tuple[int, ...]]:
+    """Distinct removal cycles of a block of two or more players: fix the
+    lowest member, permute the rest."""
+    first, *rest = sorted(block)
+    if rest:
+        for tail in permutations(rest):
+            yield (first,) + tail
 
-    first, rest = members[0], members[1:]
-    for tail in permutations(rest):
-        yield (first,) + tail
 
-
-def _rbcc_body(subject, corpus, tol, axiom):
+def _cyclic_removal_balance(subject, corpus, tol):
     phi = subject.target
-    cases = skipped = 0
     for v, P in corpus.partitioned:
         for block in P:
-            members = tuple(sorted(block))
-            if len(members) < 2:
-                continue
-            for order in _cycle_orders(members):
-                ok, resid = _try(
-                    lambda: cycle_balance_residual(phi, v, P, block, order)
-                )
-                if not ok:
-                    skipped += 1
+            for order in _cycle_orders(block):
+                resid = yield lambda: cycle_balance_residual(phi, v, P, block, order)
+                if resid is _SKIPPED:
                     continue
-                cases += 1
-                if not tol.eq(resid, 0.0):
-                    return AxiomReport(
-                        axiom,
-                        subject.name,
-                        "fail",
-                        cases,
-                        _witness_game(
-                            v,
-                            partition=[sorted(b) for b in P],
-                            order=list(order),
-                            residual=resid,
-                        ),
-                        _note_for(cases, skipped),
-                    )
-    return AxiomReport(
-        axiom, subject.name, "pass", cases, None, _note_for(cases, skipped)
-    )
+                yield None if tol.eq(resid, 0.0) else _witness(
+                    v, P, order=list(order), residual=resid
+                )
 
 
-def _check_cyclic_removal_balance(subject, corpus, tol):
-    return _rbcc_body(subject, corpus, tol, "cyclic-removal-balance")
-
-
-def _check_cyclic_removal_balance_at_game(subject, corpus, tol):
-    # the subject's domain pins the game; off-domain removals are skipped
-    return _rbcc_body(subject, corpus, tol, "cyclic-removal-balance-at-game")
-
-
-def _check_null_player_gap(subject, corpus, tol):
+def _null_player_gap(subject, corpus, tol):
     phi = subject.target
-    F = subject.benchmark
-    if F is None:
-        raise IncompatibleSubject("null-player-gap needs a benchmark on the subject")
-    cases = skipped = 0
+    F = _benchmark(subject)
     for v, P in corpus.partitioned:
         nulls = [j for j in v.players if is_null_player(v, j, EXACT)]
         if not nulls:
             continue
-        ok, pair = _try(lambda: (phi(v, P), F(v, P)))
-        if not ok:
-            skipped += 1
+        pair = yield lambda: (phi(v, P), F(v, P))
+        if pair is _SKIPPED:
             continue
         out, bench = pair
         for j in nulls:
             for a in sorted(block_of(P, j) - {j}):
-                cases += 1
                 lhs = out[a] - out[j]
                 rhs = bench[a] - bench[j]
-                if not tol.eq(lhs, rhs):
-                    return AxiomReport(
-                        "null-player-gap",
-                        subject.name,
-                        "fail",
-                        cases,
-                        _witness_game(
-                            v,
-                            partition=[sorted(b) for b in P],
-                            null_player=j,
-                            player=a,
-                            lhs=lhs,
-                            rhs=rhs,
-                        ),
-                        _note_for(cases, skipped),
-                    )
-    return AxiomReport(
-        "null-player-gap",
-        subject.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, skipped),
-    )
-
-
-def _check_relative_block_surplus_fairness(subject, corpus, tol):
-    phi = subject.target
-    F = subject.benchmark
-    if F is None:
-        raise IncompatibleSubject(
-            "relative-block-surplus-fairness needs a benchmark on the subject"
-        )
-    cases = skipped = 0
-    for v, P in corpus.partitioned:
-        ok, pair = _try(lambda: (phi(v, P), F(v, P)))
-        if not ok:
-            skipped += 1
-            continue
-        out, bench = pair
-        surplus = v.grand - math.fsum(bench.values)
-        for block in P:
-            cases += 1
-            members = sorted(block)
-            got = math.fsum(out[i] for i in members)
-            want = math.fsum(bench[i] for i in members) + len(block) * surplus / v.n
-            if not tol.eq(got, want):
-                return AxiomReport(
-                    "relative-block-surplus-fairness",
-                    subject.name,
-                    "fail",
-                    cases,
-                    _witness_game(
-                        v,
-                        partition=[sorted(b) for b in P],
-                        block=members,
-                        total=got,
-                        required=want,
-                    ),
-                    _note_for(cases, skipped),
+                yield None if tol.eq(lhs, rhs) else _witness(
+                    v, P, null_player=j, player=a, lhs=lhs, rhs=rhs
                 )
-    return AxiomReport(
-        "relative-block-surplus-fairness",
-        subject.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, skipped),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -952,174 +677,95 @@ def _detached_twin(f, args0):
     return twin
 
 
-def _op_require(subject):
-    if not subject.pool:
-        raise IncompatibleSubject("operator checks need a benchmark pool")
-
-
-def _check_op_equal_treatment(subject, corpus, tol):
-    _op_require(subject)
+def _op_equal_treatment(subject, corpus, tol):
     op = subject.target
-    cases = skipped = 0
-    for args, ctx in _ITEMS[subject.kind](subject, corpus):
+    pool = _pool(subject)
+    for args in _ITEMS[subject.kind](corpus):
         v = args[0]
-        for f in subject.pool:
+        for f in pool:
             for a, b in combinations(range(v.n), 2):
                 twin = _averaged_twin(f, a, b)
-                ok, out = _try(lambda: op(twin, *args))
-                if not ok:
-                    skipped += 1
+                out = yield lambda: op(twin, *args)
+                if out is _SKIPPED:
                     continue
-                cases += 1
-                if not tol.eq(out.values[a], out.values[b]):
-                    return AxiomReport(
-                        "operator-equal-treatment",
-                        subject.name,
-                        "fail",
-                        cases,
-                        _witness_game(
-                            v,
-                            **ctx,
-                            benchmark=getattr(f, "name", "?"),
-                            players=[v.players[a], v.players[b]],
-                            lhs=out.values[a],
-                            rhs=out.values[b],
-                        ),
-                        _note_for(cases, skipped),
-                    )
-    return AxiomReport(
-        "operator-equal-treatment",
-        subject.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, skipped),
-    )
+                x, y = out.values[a], out.values[b]
+                yield None if tol.eq(x, y) else _witness(
+                    *args,
+                    benchmark=_name(f),
+                    players=[v.players[a], v.players[b]],
+                    lhs=x,
+                    rhs=y,
+                )
 
 
-def _check_op_equal_surplus(subject, corpus, tol):
+def _op_equal_surplus(subject, corpus, tol):
     """Payoffs may depend on the benchmark only through the player's own
     benchmark payoff and the benchmark total at the input being played."""
-    _op_require(subject)
     op = subject.target
-    cases = skipped = 0
+    pool = _pool(subject)
 
-    def conclude(f1, f2, args, idx, detail):
-        nonlocal cases, skipped
-        ok, pair = _try(lambda: (op(f1, *args), op(f2, *args)))
-        if not ok:
-            skipped += 1
-            return None
-        cases += 1
+    def conclude(f1, f2, args, idx, **detail):
+        pair = yield lambda: (op(f1, *args), op(f2, *args))
+        if pair is _SKIPPED:
+            return
         x, y = pair[0].values[idx], pair[1].values[idx]
-        if tol.eq(x, y):
-            return None
-        v = args[0]
-        return AxiomReport(
-            "operator-equal-surplus",
-            subject.name,
-            "fail",
-            cases,
-            _witness_game(v, player=v.players[idx], lhs=x, rhs=y, **detail),
-            _note_for(cases, skipped),
+        yield None if tol.eq(x, y) else _witness(
+            *args, player=args[0].players[idx], lhs=x, rhs=y, **detail
         )
 
-    for args, ctx in _ITEMS[subject.kind](subject, corpus):
+    for args in _ITEMS[subject.kind](corpus):
         v = args[0]
         # benchmark pairs from the pool that happen to agree here
-        for f1, f2 in combinations(subject.pool, 2):
-            ok, pair = _try(lambda: (f1(*args), f2(*args)))
-            if not ok:
-                skipped += 1
+        for f1, f2 in combinations(pool, 2):
+            pair = yield lambda: (f1(*args), f2(*args))
+            if pair is _SKIPPED:
                 continue
             o1, o2 = pair
             if math.fsum(o1.values) != math.fsum(o2.values):
                 continue
             for idx in range(v.n):
-                if o1.values[idx] != o2.values[idx]:
-                    continue
-                bad = conclude(
-                    f1,
-                    f2,
-                    args,
-                    idx,
-                    dict(
-                        ctx,
-                        benchmarks=[getattr(f1, "name", "?"), getattr(f2, "name", "?")],
-                    ),
-                )
-                if bad:
-                    return bad
-        for f in subject.pool:
-            name = getattr(f, "name", "?")
+                if o1.values[idx] == o2.values[idx]:
+                    yield from conclude(
+                        f1, f2, args, idx, benchmarks=[_name(f1), _name(f2)]
+                    )
+        for f in pool:
             # identical at this input, offset everywhere else
             twin = _detached_twin(f, args)
             for idx in range(v.n):
-                bad = conclude(
-                    f, twin, args, idx, dict(ctx, benchmark=name, pair="detached")
+                yield from conclude(
+                    f, twin, args, idx, benchmark=_name(f), pair="detached"
                 )
-                if bad:
-                    return bad
             # two other players' payoffs swapped at this input only
             if v.n >= 3:
                 for idx in range(v.n):
                     rest = [k for k in range(v.n) if k != idx]
                     twin = _swapped_twin(f, rest[0], rest[1], only_at=args)
-                    bad = conclude(
-                        f, twin, args, idx, dict(ctx, benchmark=name, pair="swapped")
+                    yield from conclude(
+                        f, twin, args, idx, benchmark=_name(f), pair="swapped"
                     )
-                    if bad:
-                        return bad
-    return AxiomReport(
-        "operator-equal-surplus",
-        subject.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, skipped),
-    )
 
 
-def _check_op_weak_equal_surplus(subject, corpus, tol):
+def _op_weak_equal_surplus(subject, corpus, tol):
     """Like the strong form, but the agreement hypothesis must hold at every
     input, so only everywhere-swapped twins are valid constructed pairs."""
-    _op_require(subject)
     op = subject.target
-    cases = skipped = 0
-    for args, ctx in _ITEMS[subject.kind](subject, corpus):
+    pool = _pool(subject)
+    for args in _ITEMS[subject.kind](corpus):
         v = args[0]
         if v.n < 3:
             continue
-        for f in subject.pool:
+        for f in pool:
             for idx in range(v.n):
                 rest = [k for k in range(v.n) if k != idx]
                 twin = _swapped_twin(f, rest[0], rest[1])
-                ok, pair = _try(lambda: (op(f, *args), op(twin, *args)))
-                if not ok:
-                    skipped += 1
+                pair = yield lambda: (op(f, *args), op(twin, *args))
+                if pair is _SKIPPED:
                     continue
-                cases += 1
                 x, y = pair[0].values[idx], pair[1].values[idx]
-                if not tol.eq(x, y):
-                    return AxiomReport(
-                        "operator-weak-equal-surplus",
-                        subject.name,
-                        "fail",
-                        cases,
-                        _witness_game(
-                            v,
-                            **ctx,
-                            benchmark=getattr(f, "name", "?"),
-                            player=v.players[idx],
-                            lhs=x,
-                            rhs=y,
-                        ),
-                        _note_for(cases, skipped),
-                    )
-    note = _note_for(cases, skipped, "" if cases else "needs games with 3+ players")
-    return AxiomReport(
-        "operator-weak-equal-surplus", subject.name, "pass", cases, None, note
-    )
+                yield None if tol.eq(x, y) else _witness(
+                    *args, benchmark=_name(f), player=v.players[idx], lhs=x, rhs=y
+                )
+    return "needs games with 3+ players"
 
 
 # ---------------------------------------------------------------------------
@@ -1130,31 +776,38 @@ _GRAPH = ("graph",)
 _PART = ("partition",)
 _OPS = ("operator", "graph-operator", "partition-operator")
 
-_CHECKERS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "efficiency": (SUBJECT_KINDS, _check_efficiency),
-    "cohesive-efficiency": (("value", "operator"), _check_cohesive_efficiency),
-    "symmetry": (_VALUE, _check_symmetry),
-    "equal-treatment": (_VALUE, _check_equal_treatment),
-    "equal-surplus-invariance": (_VALUE, _check_surplus_invariance),
-    "equal-ratio-invariance": (_VALUE, _check_ratio_invariance),
-    "equal-cohesive-surplus-invariance": (_VALUE, _check_cohesive_surplus_invariance),
-    "equal-cohesive-ratio-invariance": (_VALUE, _check_cohesive_ratio_invariance),
-    "component-efficiency": (_GRAPH, _check_component_efficiency),
-    "link-fairness": (_GRAPH, _check_link_fairness),
-    "link-fairness-at-game": (_GRAPH, _check_link_fairness_at_game),
-    "component-surplus-fairness": (_GRAPH, _check_component_surplus_fairness),
+# The *-at-game forms share their base checks' equations: a subject whose
+# domain pins the game is skipped, not failed, off that domain.
+_CHECKERS: dict[str, tuple[tuple[str, ...], Callable[..., _Checker], dict]] = {
+    "efficiency": (SUBJECT_KINDS, _totals, {"target": attrgetter("grand")}),
+    "cohesive-efficiency": (("value", "operator"), _totals, {"target": _best_worth}),
+    "symmetry": (_VALUE, _symmetry, {}),
+    "equal-treatment": (_VALUE, _equal_treatment, {}),
+    "equal-surplus-invariance": (_VALUE, _invariance, {}),
+    "equal-ratio-invariance": (_VALUE, _invariance, {"ratio": True}),
+    "equal-cohesive-surplus-invariance": (_VALUE, _invariance, {"cohesive": True}),
+    "equal-cohesive-ratio-invariance": (
+        _VALUE,
+        _invariance,
+        {"cohesive": True, "ratio": True},
+    ),
+    "component-efficiency": (_GRAPH, _part_totals, {}),
+    "link-fairness": (_GRAPH, _link_fairness, {}),
+    "link-fairness-at-game": (_GRAPH, _link_fairness, {}),
+    "component-surplus-fairness": (_GRAPH, _part_totals, {"share": "worth"}),
     "relative-component-surplus-fairness": (
         _GRAPH,
-        _check_relative_component_surplus_fairness,
+        _part_totals,
+        {"share": "benchmark"},
     ),
-    "split-off-balance": (_PART, _check_split_off_balance),
-    "cyclic-removal-balance": (_PART, _check_cyclic_removal_balance),
-    "cyclic-removal-balance-at-game": (_PART, _check_cyclic_removal_balance_at_game),
-    "null-player-gap": (_PART, _check_null_player_gap),
-    "relative-block-surplus-fairness": (_PART, _check_relative_block_surplus_fairness),
-    "operator-equal-treatment": (_OPS, _check_op_equal_treatment),
-    "operator-equal-surplus": (_OPS, _check_op_equal_surplus),
-    "operator-weak-equal-surplus": (_OPS, _check_op_weak_equal_surplus),
+    "split-off-balance": (_PART, _split_off_balance, {}),
+    "cyclic-removal-balance": (_PART, _cyclic_removal_balance, {}),
+    "cyclic-removal-balance-at-game": (_PART, _cyclic_removal_balance, {}),
+    "null-player-gap": (_PART, _null_player_gap, {}),
+    "relative-block-surplus-fairness": (_PART, _part_totals, {"share": "benchmark"}),
+    "operator-equal-treatment": (_OPS, _op_equal_treatment, {}),
+    "operator-equal-surplus": (_OPS, _op_equal_surplus, {}),
+    "operator-weak-equal-surplus": (_OPS, _op_weak_equal_surplus, {}),
 }
 
 ALL_AXIOMS = tuple(sorted(_CHECKERS))
@@ -1165,14 +818,17 @@ def check_axiom(
 ) -> AxiomReport:
     """Run one named check; raises for unknown names or wrong subject kinds."""
     try:
-        kinds, fn = _CHECKERS[axiom]
+        kinds, checker, params = _CHECKERS[axiom]
     except KeyError:
         raise UnknownName(f"unknown axiom {axiom!r}") from None
     if subject.kind not in kinds:
         raise IncompatibleSubject(
             f"{axiom} applies to {'/'.join(kinds)} subjects, not {subject.kind}"
         )
-    return fn(subject, corpus, tol)
+    try:
+        return _drive(axiom, subject.name, checker(subject, corpus, tol, **params))
+    except IncompatibleSubject as exc:
+        raise IncompatibleSubject(f"{axiom} {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -1186,10 +842,9 @@ def _link_subsets(links: frozenset) -> Iterator[frozenset]:
             yield frozenset(chosen)
 
 
-def _fa_preservation_report(corpus: Corpus, tol: Tolerance) -> AxiomReport:
+def _fa_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
     """Freezing a fair benchmark at one game keeps its extension fair there,
     across the whole subgraph family of the frozen pair."""
-    cases = 0
     eligible = [pair for pair in corpus.comm if 1 <= len(pair[1].links) <= 5]
     eligible.sort(key=lambda pair: -len(pair[1].links))
     for v, g in eligible[:4]:
@@ -1201,68 +856,24 @@ def _fa_preservation_report(corpus: Corpus, tol: Tolerance) -> AxiomReport:
                 a, b = link
                 full = ext(v, level)
                 cut = ext(v, level.without(link))
-                cases += 1
-                if not tol.eq(full[a] - cut[a], full[b] - cut[b]):
-                    return AxiomReport(
-                        "link-fairness-at-game",
-                        ext.name,
-                        "fail",
-                        cases,
-                        _witness_game(
-                            v,
-                            graph=[list(l) for l in level.sorted_links()],
-                            link=list(link),
-                        ),
-                    )
-    return AxiomReport(
-        "link-fairness-at-game",
-        "graph-ess[frozen[myerson]]",
-        "pass",
-        cases,
-        None,
-        _note_for(cases, 0, "fairness preserved on subgraph families"),
-    )
+                fair = tol.eq(full[a] - cut[a], full[b] - cut[b])
+                yield None if fair else _witness(v, level, link=list(link))
 
 
-def _rbcc_preservation_report(
-    corpus: Corpus, tol: Tolerance, benchmark: PartitionSolution = AUMANN_DREZE
-) -> AxiomReport:
+def _rbcc_preservation(
+    corpus: Corpus, tol: Tolerance, ext: PartitionSolution
+) -> _Checker:
     """The extension's removal-cycle residual equals the benchmark's."""
-    ext = partition_ess_solution(benchmark)
-    cases = 0
     for v, P in corpus.partitioned:
         if v.n > 4:
             continue
         for block in P:
-            members = tuple(sorted(block))
-            if len(members) < 2:
-                continue
-            for order in _cycle_orders(members):
-                r0 = cycle_balance_residual(benchmark, v, P, block, order)
+            for order in _cycle_orders(block):
+                r0 = cycle_balance_residual(AUMANN_DREZE, v, P, block, order)
                 r1 = cycle_balance_residual(ext, v, P, block, order)
-                cases += 1
-                if not tol.eq(r1, r0):
-                    return AxiomReport(
-                        "cyclic-removal-balance-at-game",
-                        ext.name,
-                        "fail",
-                        cases,
-                        _witness_game(
-                            v,
-                            partition=[sorted(b) for b in P],
-                            order=list(order),
-                            lhs=r1,
-                            rhs=r0,
-                        ),
-                    )
-    return AxiomReport(
-        "cyclic-removal-balance-at-game",
-        ext.name,
-        "pass",
-        cases,
-        None,
-        _note_for(cases, 0, "residuals preserved under the extension"),
-    )
+                yield None if tol.eq(r1, r0) else _witness(
+                    v, P, order=list(order), lhs=r1, rhs=r0
+                )
 
 
 THEOREM_SUITES = (
@@ -1277,27 +888,13 @@ THEOREM_SUITES = (
 
 
 def check_theorem_suite(
-    suite: str,
-    corpus: Corpus,
-    tol: Tolerance = DEFAULT_TOL,
-    pool: tuple | None = None,
+    suite: str, corpus: Corpus, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[AxiomReport, ...]:
     """Run the bundle of checks behind one characterization result.
 
     Only the axiom directions are machine-checked; uniqueness arguments rely
     on richness of the game space and are out of scope here.
     """
-    from .coalition import EE_AUMANN_DREZE, PARTITION_ESS_OPERATOR
-    from .comm import EE_MYERSON, GRAPH_ESS_OPERATOR
-    from .operators import (
-        COHESIVE_ESS_OPERATOR,
-        COHESIVE_PS_OPERATOR,
-        ESS_OPERATOR,
-        PS_OPERATOR,
-        wrap,
-    )
-    from .solutions import ESS_VALUE, PS_VALUE
-
     reports: list[AxiomReport] = []
     if suite == "surplus-values":
         for sol, inv in ((ESS_VALUE, "equal-surplus-invariance"), (PS_VALUE, "equal-ratio-invariance")):
@@ -1309,9 +906,8 @@ def check_theorem_suite(
                 check_axiom(inv, value_subject(sol, benchmark=STAND_ALONE), corpus, tol)
             )
     elif suite == "surplus-operators":
-        bench_pool = pool or DEFAULT_BENCHMARKS
         for op in (ESS_OPERATOR, PS_OPERATOR):
-            sub = operator_subject(op, bench_pool)
+            sub = operator_subject(op)
             reports.append(check_axiom("efficiency", sub, corpus, tol))
             reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
             reports.append(check_axiom("operator-equal-surplus", sub, corpus, tol))
@@ -1323,12 +919,11 @@ def check_theorem_suite(
             check_axiom("relative-component-surplus-fairness", sub, corpus, tol)
         )
     elif suite == "network-operators":
-        bench_pool = pool or DEFAULT_GRAPH_BENCHMARKS
-        sub = graph_operator_subject(GRAPH_ESS_OPERATOR, bench_pool)
+        sub = graph_operator_subject(GRAPH_ESS_OPERATOR)
         reports.append(check_axiom("efficiency", sub, corpus, tol))
         reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
         reports.append(check_axiom("operator-weak-equal-surplus", sub, corpus, tol))
-        for F in bench_pool:
+        for F in DEFAULT_GRAPH_BENCHMARKS:
             reports.append(
                 check_axiom(
                     "relative-component-surplus-fairness",
@@ -1337,7 +932,14 @@ def check_theorem_suite(
                     tol,
                 )
             )
-        reports.append(_fa_preservation_report(corpus, tol))
+        reports.append(
+            _drive(
+                "link-fairness-at-game",
+                "graph-ess[frozen[myerson]]",
+                _fa_preservation(corpus, tol),
+                "fairness preserved on subgraph families",
+            )
+        )
     elif suite == "partition-extension":
         sub = partition_subject(EE_AUMANN_DREZE, benchmark=AUMANN_DREZE)
         reports.append(check_axiom("efficiency", sub, corpus, tol))
@@ -1347,12 +949,11 @@ def check_theorem_suite(
             check_axiom("relative-block-surplus-fairness", sub, corpus, tol)
         )
     elif suite == "partition-operators":
-        bench_pool = pool or DEFAULT_PARTITION_BENCHMARKS
-        sub = partition_operator_subject(PARTITION_ESS_OPERATOR, bench_pool)
+        sub = partition_operator_subject(PARTITION_ESS_OPERATOR)
         reports.append(check_axiom("efficiency", sub, corpus, tol))
         reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
         reports.append(check_axiom("operator-weak-equal-surplus", sub, corpus, tol))
-        for F in bench_pool:
+        for F in DEFAULT_PARTITION_BENCHMARKS:
             reports.append(
                 check_axiom(
                     "relative-block-surplus-fairness",
@@ -1361,14 +962,21 @@ def check_theorem_suite(
                     tol,
                 )
             )
-        reports.append(_rbcc_preservation_report(corpus, tol))
+        ext = partition_ess_solution(AUMANN_DREZE)
+        reports.append(
+            _drive(
+                "cyclic-removal-balance-at-game",
+                ext.name,
+                _rbcc_preservation(corpus, tol, ext),
+                "residuals preserved under the extension",
+            )
+        )
     elif suite == "cohesive-operators":
-        bench_pool = pool or DEFAULT_BENCHMARKS
         for op, inv in (
             (COHESIVE_ESS_OPERATOR, "equal-cohesive-surplus-invariance"),
             (COHESIVE_PS_OPERATOR, "equal-cohesive-ratio-invariance"),
         ):
-            sub = operator_subject(op, bench_pool)
+            sub = operator_subject(op)
             reports.append(check_axiom("cohesive-efficiency", sub, corpus, tol))
             reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
             reports.append(

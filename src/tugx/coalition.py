@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainViolation, InconsistentSystem, UnknownName, check_name_depth
-from .games import DEFAULT_TOL, Game, Tolerance, iter_set_partitions, subgame
+from .games import DEFAULT_TOL, Game, Tolerance, subgame
 from .solutions import Allocation, shapley
 
 Partition = tuple[frozenset[int], ...]
@@ -38,10 +38,6 @@ def make_partition(
     if not out:
         raise ValueError("a partition needs at least one block")
     return tuple(sorted(out, key=min))
-
-
-def all_partitions(players: Iterable[int]) -> Iterator[Partition]:
-    return iter_set_partitions(players)
 
 
 def block_of(P: Partition, i: int) -> frozenset[int]:

@@ -47,11 +47,14 @@ class Operator:
         return hash(self.name)
 
 
-def apply_ess_operator(f: Benchmark, v: Game) -> Allocation:
-    """Benchmark payoffs plus an equal share of the leftover surplus."""
-    out = f(v)
+def _ess_shares(out: Allocation, v: Game) -> Allocation:
     share = (v.grand - math.fsum(out.values)) / v.n
     return Allocation(v.players, tuple(x + share for x in out.values))
+
+
+def apply_ess_operator(f: Benchmark, v: Game) -> Allocation:
+    """Benchmark payoffs plus an equal share of the leftover surplus."""
+    return _ess_shares(f(v), v)
 
 
 def _positive_total(out: Allocation) -> float:
@@ -67,15 +70,22 @@ def _positive_total(out: Allocation) -> float:
     return total
 
 
-def apply_ps_operator(f: Benchmark, v: Game) -> Allocation:
-    """Grand worth split in proportion to benchmark payoffs."""
+def _require_positive_singletons(v: Game) -> None:
     if singleton_total(v) <= 0.0:
         raise DomainViolation(
             "proportional operator needs a positive singleton total"
         )
-    out = f(v)
+
+
+def _ps_shares(out: Allocation, v: Game) -> Allocation:
     total = _positive_total(out)
     return Allocation(v.players, tuple(x / total * v.grand for x in out.values))
+
+
+def apply_ps_operator(f: Benchmark, v: Game) -> Allocation:
+    """Grand worth split in proportion to benchmark payoffs."""
+    _require_positive_singletons(v)
+    return _ps_shares(f(v), v)
 
 
 @dataclass(frozen=True)
@@ -143,49 +153,50 @@ def _game_digest(v: Game) -> str:
     return hashlib.sha1(raw).hexdigest()[:8]
 
 
+def _anchored_operator(flavor: str, anchor: Game, shares, domain: str) -> Operator:
+    """The flavor's sharing at v, shifted by the benchmark's offsets from
+    their mean at the anchor.
+
+    The benchmark runs once at v.  When v is the anchor object itself, that
+    run is also the anchor's run: nested anchored operators pass their anchor
+    down, so k levels make k + 1 benchmark calls.  A merely equal game still
+    gets its own run, since equal worths may differ in the sign of a zero.
+    """
+
+    def func(f: Benchmark, v: Game) -> Allocation:
+        if v.players != anchor.players:
+            raise DomainViolation("anchored operator needs the anchor's player set")
+        if domain == POSITIVE_GAMES:
+            _require_positive_singletons(v)
+        out = f(v)
+        base = shares(out, v)
+        at_anchor = out if v is anchor else f(anchor)
+        mean = math.fsum(at_anchor.values) / v.n
+        return Allocation(
+            v.players,
+            tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
+        )
+
+    return Operator(
+        f"anchored-{flavor}:{_game_digest(anchor)}",
+        func,
+        domain=domain,
+        extra_games=(anchor,),
+    )
+
+
 def anchored_ess_operator(anchor: Game) -> Operator:
     """Equal-surplus sharing shifted by benchmark offsets at a fixed game.
 
     The offsets sum to zero, so the result stays efficient, yet payoffs now
     react to how the benchmark behaves away from the game being played.
     """
-
-    def func(f: Benchmark, v: Game) -> Allocation:
-        if v.players != anchor.players:
-            raise DomainViolation("anchored operator needs the anchor's player set")
-        base = apply_ess_operator(f, v)
-        at_anchor = f(anchor)
-        mean = math.fsum(at_anchor.values) / v.n
-        return Allocation(
-            v.players,
-            tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
-        )
-
-    return Operator(
-        f"anchored-ess:{_game_digest(anchor)}", func, extra_games=(anchor,)
-    )
+    return _anchored_operator("ess", anchor, _ess_shares, ALL_GAMES)
 
 
 def anchored_ps_operator(anchor: Game) -> Operator:
     """Proportional sharing shifted by benchmark offsets at a fixed game."""
-
-    def func(f: Benchmark, v: Game) -> Allocation:
-        if v.players != anchor.players:
-            raise DomainViolation("anchored operator needs the anchor's player set")
-        base = apply_ps_operator(f, v)
-        at_anchor = f(anchor)
-        mean = math.fsum(at_anchor.values) / v.n
-        return Allocation(
-            v.players,
-            tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
-        )
-
-    return Operator(
-        f"anchored-ps:{_game_digest(anchor)}",
-        func,
-        domain=POSITIVE_GAMES,
-        extra_games=(anchor,),
-    )
+    return _anchored_operator("ps", anchor, _ps_shares, POSITIVE_GAMES)
 
 
 class BestPartition(NamedTuple):
@@ -265,10 +276,7 @@ def apply_cohesive_ess(f: Benchmark, v: Game) -> Allocation:
 
 def apply_cohesive_ps(f: Benchmark, v: Game) -> Allocation:
     """Proportional sharing aimed at the best partition worth."""
-    if singleton_total(v) <= 0.0:
-        raise DomainViolation(
-            "proportional operator needs a positive singleton total"
-        )
+    _require_positive_singletons(v)
     target = max_partition_value(v).value
     out = f(v)
     total = _positive_total(out)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, permutations
 from operator import mul, sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import BadName, DomainViolation, UnknownName, check_name_depth
 from .games import DEFAULT_TOL, Game, Tolerance
@@ -204,14 +204,6 @@ def table_solution(name: str, entries: Mapping[Game, Allocation]) -> Solution:
             raise DomainViolation(f"{name!r} has no entry for this game") from None
 
     return Solution(name, "table", func)
-
-
-def evaluate(f: Solution | Callable[[Game], Allocation], v: Game) -> Allocation:
-    return f(v)
-
-
-def total_payoff(f: Solution | Callable[[Game], Allocation], v: Game) -> float:
-    return f(v).total()
 
 
 _BASE: dict[str, Solution] = {

@@ -17,7 +17,6 @@ from tugx.coalition import (
     AUMANN_DREZE,
     EE_AUMANN_DREZE,
     ZERO_PARTITION,
-    all_partitions,
     aumann_dreze,
     cycle_balance_residual,
     make_partition,
@@ -41,6 +40,7 @@ from tugx.games import (
     POSITIVE_SINGLETONS,
     Game,
     Tolerance,
+    iter_set_partitions,
     random_game,
 )
 from tugx.operators import (
@@ -272,7 +272,7 @@ def test_induction_solvers_match_closed_forms():
     cycle_checked = 0
     for n in (2, 3, 4):
         players = tuple(range(1, n + 1))
-        parts = list(all_partitions(players))
+        parts = list(iter_set_partitions(players))
         assert len(parts) == {2: 2, 3: 5, 4: 15}[n]
         for v in _games(n, 20, base_seed=600 + n):
             for F in (AUMANN_DREZE, ZERO_PARTITION):
@@ -345,7 +345,7 @@ def test_cycle_balance_preserved_under_extension():
     for n in (2, 3, 4):
         players = tuple(range(1, n + 1))
         for v in _games(n, 10, base_seed=900 + n):
-            for P in all_partitions(players):
+            for P in iter_set_partitions(players):
                 for block in P:
                     if len(block) < 2:
                         continue

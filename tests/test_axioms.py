@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from tugx import axioms
 from tugx.axioms import (
     ALL_AXIOMS,
     Corpus,
@@ -16,7 +19,12 @@ from tugx.coalition import AUMANN_DREZE, EE_AUMANN_DREZE
 from tugx.comm import EE_MYERSON, MYERSON_SOLUTION, ZERO_GRAPH, graph_ess_solution
 from tugx.errors import IncompatibleSubject, UnknownName
 from tugx.games import POSITIVE_SINGLETONS, Tolerance, is_null_player
-from tugx.operators import ESS_OPERATOR
+from tugx.operators import (
+    COHESIVE_ESS_OPERATOR,
+    COHESIVE_PS_OPERATOR,
+    ESS_OPERATOR,
+    max_partition_value,
+)
 from tugx.solutions import ESS_VALUE, PS_VALUE, SHAPLEY, STAND_ALONE
 
 EXACT = Tolerance(0.0, 0.0)
@@ -174,3 +182,18 @@ def test_theorem_suites_pass(corpus, positive_corpus):
 def test_unknown_suite(corpus):
     with pytest.raises(UnknownName):
         check_theorem_suite("no-such-suite", corpus)
+
+
+@pytest.mark.parametrize("op", [COHESIVE_ESS_OPERATOR, COHESIVE_PS_OPERATOR])
+def test_cohesive_efficiency_finds_best_partition_once_per_game(op, monkeypatch):
+    corpus = Corpus.build(sizes=(2, 3, 4, 5, 6), per_size=1, seed=1)
+    calls = []
+
+    def counted(v):
+        calls.append(id(v))
+        return max_partition_value(v)
+
+    monkeypatch.setattr(axioms, "max_partition_value", counted)
+    report = check_axiom("cohesive-efficiency", operator_subject(op), corpus)
+    assert report.passed and report.cases > 0
+    assert calls and max(Counter(calls).values()) == 1

@@ -8,7 +8,6 @@ from tugx.coalition import (
     EE_AUMANN_DREZE,
     ZERO_PARTITION,
     PartitionSolution,
-    all_partitions,
     aumann_dreze,
     block_of,
     cycle_balance_residual,
@@ -22,7 +21,7 @@ from tugx.coalition import (
     split_off,
 )
 from tugx.errors import DomainViolation, InconsistentSystem, UnknownName
-from tugx.games import DEFAULT_TOL, Game, random_game
+from tugx.games import DEFAULT_TOL, Game, iter_set_partitions, random_game
 from tugx.solutions import Allocation, allocations_close
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -45,7 +44,7 @@ def test_make_partition_validation(trio):
 
 
 def test_all_partitions_count():
-    assert len(list(all_partitions((1, 2, 3, 4)))) == 15
+    assert len(list(iter_set_partitions((1, 2, 3, 4)))) == 15
 
 
 def test_block_and_split(pair_block):
@@ -137,7 +136,7 @@ def test_cycle_induction_matches_extension(seed, n):
     v = random_game(players, seed=seed)
     for F in (AUMANN_DREZE, ZERO_PARTITION):
         ext = partition_ess_solution(F)
-        for P in all_partitions(players):
+        for P in iter_set_partitions(players):
             got = solve_by_cycle_balance_induction(F, v, P)
             assert allocations_close(got, ext(v, P), DEFAULT_TOL)
 

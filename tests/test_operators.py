@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from tugx.axioms import Corpus, check_axiom, operator_subject
 from tugx.errors import DomainViolation, UnknownName
-from tugx.games import DEFAULT_TOL, PROFILES, Game, random_game
+from tugx.games import DEFAULT_TOL, POSITIVE_SINGLETONS, PROFILES, Game, random_game
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
@@ -30,8 +30,11 @@ from tugx.solutions import (
     EQUAL_DIVISION,
     SHAPLEY,
     STAND_ALONE,
+    Allocation,
+    Solution,
     constant_solution,
     lead_singleton_solution,
+    shapley,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -121,6 +124,49 @@ def test_anchored_ps_variant(duo):
     out = op(STAND_ALONE, duo)
     assert out[1] == 5.0
     assert DEFAULT_TOL.eq(out.total(), duo.grand)
+
+
+def _per_level_anchored(apply, anchor):
+    """The anchored operators as they stood when each level ran its
+    benchmark at v (inside apply) and again at the anchor."""
+
+    def func(f, v):
+        if v.players != anchor.players:
+            raise DomainViolation("anchored operator needs the anchor's player set")
+        base = apply(f, v)
+        at_anchor = f(anchor)
+        mean = math.fsum(at_anchor.values) / v.n
+        return Allocation(
+            v.players,
+            tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
+        )
+
+    return func
+
+
+@pytest.mark.parametrize("flavor", ["ess", "ps"])
+def test_nested_anchored_operators_call_benchmark_once_per_level(flavor, wide_game):
+    players = (1, 2, 3, 4)
+    if flavor == "ess":
+        make, apply = anchored_ess_operator, apply_ess_operator
+        anchor, other = wide_game(players, 5), wide_game(players, 6)
+    else:
+        make, apply = anchored_ps_operator, apply_ps_operator
+        anchor = random_game(players, seed=5, profile=POSITIVE_SINGLETONS)
+        other = random_game(players, seed=6, profile=POSITIVE_SINGLETONS)
+    op, reference = make(anchor), _per_level_anchored(apply, anchor)
+    calls = []
+    nested = Solution("shapley", "shapley", lambda v: calls.append(v) or shapley(v))
+    nested_ref = SHAPLEY
+    for k in range(1, 9):
+        nested = wrap(op, nested)
+        nested_ref = lambda v, f=nested_ref: reference(f, v)
+        for v, want_calls in ((anchor, 1), (other, k + 1)):
+            calls.clear()
+            got = nested(v)
+            assert len(calls) == want_calls, (k, v is anchor)
+            want = nested_ref(v)
+            assert [x.hex() for x in got.values] == [x.hex() for x in want.values]
 
 
 def test_best_partition_values(halves, duo):
@@ -280,3 +326,14 @@ def test_named_operator(duo):
         named_operator("nope")
     with pytest.raises(UnknownName):
         named_operator("weighted:x")
+
+
+def test_anchored_operator_reruns_benchmark_at_an_equal_game():
+    # v equals the anchor under ==, yet its zeros carry other signs: taking
+    # the run at v for the anchor's would flip the sign of a zero payoff
+    anchor = Game((1, 2), (0.0, 0.0, 0.0, 0.0))
+    v = Game((1, 2), (0.0, 0.0, -0.0, -0.0))
+    assert v == anchor
+    got = anchored_ess_operator(anchor)(STAND_ALONE, v)
+    want = _per_level_anchored(apply_ess_operator, anchor)(STAND_ALONE, v)
+    assert [x.hex() for x in got.values] == [x.hex() for x in want.values]

@@ -16,7 +16,6 @@ from tugx.solutions import (
     allocations_close,
     constant_solution,
     ess_value,
-    evaluate,
     lead_singleton_solution,
     named_solution,
     ps_value,
@@ -24,7 +23,6 @@ from tugx.solutions import (
     shapley_permutation_oracle,
     singleton_total,
     table_solution,
-    total_payoff,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -97,8 +95,6 @@ def test_simple_rules(duo, trio):
     assert constant_solution(1.5)(trio).values == (1.5, 1.5, 1.5)
     assert lead_singleton_solution()(duo).values == (2.0, 0.0)
     assert lead_singleton_solution()(trio).values == (0.0, 0.0, 0.0)
-    assert evaluate(STAND_ALONE, duo).values == (2.0, 0.0)
-    assert total_payoff(STAND_ALONE, duo) == 2.0
 
 
 def test_table_solution(duo, trio):
