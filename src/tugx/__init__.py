@@ -45,12 +45,13 @@ from .solutions import (
     STAND_ALONE,
     ZERO,
     Solution,
+    Structure,
     allocations_close,
     constant_solution,
     equal_division,
     ess_value,
+    freeze_solution,
     lead_singleton_solution,
-    named_solution,
     ps_value,
     shapley,
     shapley_permutation_oracle,
@@ -58,11 +59,41 @@ from .solutions import (
     stand_alone,
     table_solution,
 )
+from .comm import (
+    GRAPH,
+    Graph,
+    MYERSON_SOLUTION,
+    all_graphs,
+    complete_graph,
+    component_surplus_share,
+    components,
+    empty_graph,
+    myerson,
+    restricted_game,
+    solve_by_fairness_induction,
+)
+from .coalition import (
+    AUMANN_DREZE,
+    PARTITION,
+    Partition,
+    aumann_dreze,
+    block_of,
+    cycle_balance_residual,
+    extend_with_null,
+    make_partition,
+    remove_player,
+    solve_by_cycle_balance_induction,
+    split_off,
+)
 from .operators import (
     BestPartition,
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
+    EE_AUMANN_DREZE,
+    EE_MYERSON,
     ESS_OPERATOR,
+    GRAPH_ESS_OPERATOR,
+    PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
     Operator,
     WeightScheme,
@@ -76,53 +107,14 @@ from .operators import (
     brute_force_partition_value,
     convex_weights,
     max_partition_value,
+    named_graph_solution,
     named_operator,
+    named_partition_solution,
+    named_solution,
     ratio_matched_game,
     surplus_matched_game,
     weighted_operator,
     wrap,
-)
-from .comm import (
-    EE_MYERSON,
-    GRAPH_ESS_OPERATOR,
-    Graph,
-    GraphSolution,
-    MYERSON_SOLUTION,
-    ZERO_GRAPH,
-    all_graphs,
-    complete_graph,
-    component_surplus_share,
-    components,
-    ee_myerson,
-    empty_graph,
-    freeze_graph_solution,
-    graph_ess_solution,
-    graph_table_solution,
-    myerson,
-    named_graph_solution,
-    restricted_game,
-    solve_by_fairness_induction,
-)
-from .coalition import (
-    AUMANN_DREZE,
-    EE_AUMANN_DREZE,
-    PARTITION_ESS_OPERATOR,
-    Partition,
-    PartitionSolution,
-    ZERO_PARTITION,
-    aumann_dreze,
-    block_of,
-    cycle_balance_residual,
-    ee_aumann_dreze,
-    extend_with_null,
-    freeze_partition_solution,
-    make_partition,
-    named_partition_solution,
-    partition_ess_solution,
-    partition_table_solution,
-    remove_player,
-    solve_by_cycle_balance_induction,
-    split_off,
 )
 from .axioms import (
     ALL_AXIOMS,

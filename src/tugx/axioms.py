@@ -37,28 +37,13 @@ from typing import Any, Callable, Generator, Iterable, Iterator
 
 from .coalition import (
     AUMANN_DREZE,
-    EE_AUMANN_DREZE,
-    PARTITION_ESS_OPERATOR,
+    PARTITION,
     Partition,
-    PartitionSolution,
-    ZERO_PARTITION,
     block_of,
     cycle_balance_residual,
-    partition_ess_solution,
     split_off,
 )
-from .comm import (
-    EE_MYERSON,
-    GRAPH_ESS_OPERATOR,
-    Graph,
-    GraphSolution,
-    MYERSON_SOLUTION,
-    ZERO_GRAPH,
-    all_graphs,
-    components,
-    freeze_graph_solution,
-    graph_ess_solution,
-)
+from .comm import GRAPH, MYERSON_SOLUTION, Graph, all_graphs, components
 from .errors import DomainViolation, IncompatibleSubject, MissingStructure, UnknownName
 from .games import (
     DEFAULT_TOL,
@@ -68,16 +53,21 @@ from .games import (
     Tolerance,
     are_symmetric,
     is_null_player,
-    iter_set_partitions,
     permute_game,
     random_game,
+    sample_set_partitions,
     unanimity_game,
 )
 from .io import game_payload
 from .operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
+    EE_AUMANN_DREZE,
+    EE_MYERSON,
     ESS_OPERATOR,
+    GRAPH_ESS_OPERATOR,
+    Operator,
+    PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
     max_partition_value,
     wrap,
@@ -89,8 +79,11 @@ from .solutions import (
     PS_VALUE,
     SHAPLEY,
     STAND_ALONE,
+    ZERO,
     Solution,
+    Structure,
     constant_solution,
+    freeze_solution,
 )
 
 EXACT = Tolerance(0.0, 0.0)
@@ -105,8 +98,12 @@ SUBJECT_KINDS = (
 )
 
 DEFAULT_BENCHMARKS = (STAND_ALONE, EQUAL_DIVISION, SHAPLEY, constant_solution(1.5))
-DEFAULT_GRAPH_BENCHMARKS = (MYERSON_SOLUTION, ZERO_GRAPH)
-DEFAULT_PARTITION_BENCHMARKS = (AUMANN_DREZE, ZERO_PARTITION)
+# Benchmark pools of operator subjects, by the structure their inputs carry.
+DEFAULT_POOLS = {
+    None: DEFAULT_BENCHMARKS,
+    GRAPH: (MYERSON_SOLUTION, ZERO),
+    PARTITION: (AUMANN_DREZE, ZERO),
+}
 
 # Corpus.build samples this many random graphs for each game of 4+ players
 # (besides the empty and complete graphs), and keeps at most this many of
@@ -117,46 +114,69 @@ PARTITIONS_PER_GAME = 15
 
 @dataclass(frozen=True)
 class Subject:
-    """What a check is about: a rule of some kind, with optional context."""
+    """What a check is about: a rule or an operator, the structure its
+    inputs carry (None for plain games, GRAPH or PARTITION), and the
+    benchmark or benchmark pool that relative and operator checks use.
 
-    kind: str
+    Every rule involved must read that structure or none.
+    """
+
     target: Any
-    benchmark: Any = None
+    structure: Structure | None = None
+    benchmark: Solution | None = None
     pool: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in SUBJECT_KINDS:
-            raise ValueError(f"unknown subject kind {self.kind!r}")
+        if self.structure not in (None, GRAPH, PARTITION):
+            raise ValueError(f"unknown structure {self.structure!r}")
+        for rule in (self.target, self.benchmark, *self.pool):
+            reads = getattr(rule, "reads", None)
+            if reads not in (None, self.structure):
+                where = self.structure.name if self.structure else "plain game"
+                raise IncompatibleSubject(
+                    f"{rule.name!r} reads a {reads.name}, the subject a {where}"
+                )
 
     @property
     def name(self) -> str:
         return getattr(self.target, "name", str(self.target))
 
+    @property
+    def is_operator(self) -> bool:
+        return isinstance(self.target, Operator)
+
+    @property
+    def kind(self) -> str:
+        """One of SUBJECT_KINDS, as reports and the command line spell it."""
+        base = self.structure.name if self.structure else ""
+        if self.is_operator:
+            return f"{base}-operator" if base else "operator"
+        return base or "value"
+
 
 def value_subject(target: Solution, benchmark: Solution | None = None) -> Subject:
-    return Subject("value", target, benchmark)
+    """A rule, checked at the inputs it reads."""
+    return Subject(target, target.reads, benchmark)
 
 
-def graph_subject(target: GraphSolution, benchmark=None) -> Subject:
-    return Subject("graph", target, benchmark)
+# A rule's subject follows from the structure the rule reads.
+graph_subject = partition_subject = value_subject
 
 
-def partition_subject(target: PartitionSolution, benchmark=None) -> Subject:
-    return Subject("partition", target, benchmark)
+def operator_subject(target: Operator, pool: tuple = DEFAULT_BENCHMARKS) -> Subject:
+    return Subject(target, None, pool=tuple(pool))
 
 
-def operator_subject(target, pool: tuple = DEFAULT_BENCHMARKS) -> Subject:
-    return Subject("operator", target, pool=tuple(pool))
-
-
-def graph_operator_subject(target, pool: tuple = DEFAULT_GRAPH_BENCHMARKS) -> Subject:
-    return Subject("graph-operator", target, pool=tuple(pool))
+def graph_operator_subject(
+    target: Operator, pool: tuple = DEFAULT_POOLS[GRAPH]
+) -> Subject:
+    return Subject(target, GRAPH, pool=tuple(pool))
 
 
 def partition_operator_subject(
-    target, pool: tuple = DEFAULT_PARTITION_BENCHMARKS
+    target: Operator, pool: tuple = DEFAULT_POOLS[PARTITION]
 ) -> Subject:
-    return Subject("partition-operator", target, pool=tuple(pool))
+    return Subject(target, PARTITION, pool=tuple(pool))
 
 
 @dataclass(frozen=True)
@@ -258,10 +278,7 @@ class Corpus:
                 if g.links not in seen:
                     seen.add(g.links)
                     comm.append((v, g))
-            parts = list(iter_set_partitions(v.players))
-            if len(parts) > PARTITIONS_PER_GAME:
-                parts = rng.sample(parts, PARTITIONS_PER_GAME)
-            for P in parts:
+            for P in sample_set_partitions(v.players, PARTITIONS_PER_GAME, rng):
                 partitioned.append((v, P))
         return cls(tuple(games), tuple(comm), tuple(partitioned))
 
@@ -336,15 +353,12 @@ def _game_items(corpus: Corpus) -> Iterator[tuple[Game]]:
     return ((v,) for v in corpus.games)
 
 
-# The argument tuples a subject of each kind is evaluated at (after the
-# benchmark, for operators).
-_ITEMS: dict[str, Callable[[Corpus], Iterable[tuple]]] = {
-    "value": _game_items,
-    "graph": attrgetter("comm"),
-    "partition": attrgetter("partitioned"),
-    "operator": _game_items,
-    "graph-operator": attrgetter("comm"),
-    "partition-operator": attrgetter("partitioned"),
+# The argument tuples a subject is evaluated at (after the benchmark, for
+# operators), by the structure its inputs carry.
+_ITEMS: dict[Structure | None, Callable[[Corpus], Iterable[tuple]]] = {
+    None: _game_items,
+    GRAPH: attrgetter("comm"),
+    PARTITION: attrgetter("partitioned"),
 }
 
 
@@ -377,8 +391,8 @@ def _totals(subject, corpus, tol, target):
     """Payoff total against target(v) at every evaluation the subject allows:
     one per input for a rule, one per pool benchmark for an operator."""
     rule = subject.target
-    pool = subject.pool if subject.kind.endswith("operator") else (None,)
-    for args in _ITEMS[subject.kind](corpus):
+    pool = subject.pool if subject.is_operator else (None,)
+    for args in _ITEMS[subject.structure](corpus):
         want = target(args[0])
         for f in pool:
             out = yield (lambda: rule(*args)) if f is None else (lambda: rule(f, *args))
@@ -531,8 +545,8 @@ def _part_totals(subject, corpus, tol, share=None):
     """
     phi = subject.target
     F = _benchmark(subject) if share == "benchmark" else None
-    part = "component" if subject.kind == "graph" else "block"
-    for v, s in _ITEMS[subject.kind](corpus):
+    part = "component" if subject.structure is GRAPH else "block"
+    for v, s in _ITEMS[subject.structure](corpus):
         pair = yield lambda: (phi(v, s), None if F is None else F(v, s))
         if pair is _SKIPPED:
             continue
@@ -680,7 +694,7 @@ def _detached_twin(f, args0):
 def _op_equal_treatment(subject, corpus, tol):
     op = subject.target
     pool = _pool(subject)
-    for args in _ITEMS[subject.kind](corpus):
+    for args in _ITEMS[subject.structure](corpus):
         v = args[0]
         for f in pool:
             for a, b in combinations(range(v.n), 2):
@@ -713,7 +727,7 @@ def _op_equal_surplus(subject, corpus, tol):
             *args, player=args[0].players[idx], lhs=x, rhs=y, **detail
         )
 
-    for args in _ITEMS[subject.kind](corpus):
+    for args in _ITEMS[subject.structure](corpus):
         v = args[0]
         # benchmark pairs from the pool that happen to agree here
         for f1, f2 in combinations(pool, 2):
@@ -750,7 +764,7 @@ def _op_weak_equal_surplus(subject, corpus, tol):
     input, so only everywhere-swapped twins are valid constructed pairs."""
     op = subject.target
     pool = _pool(subject)
-    for args in _ITEMS[subject.kind](corpus):
+    for args in _ITEMS[subject.structure](corpus):
         v = args[0]
         if v.n < 3:
             continue
@@ -848,8 +862,7 @@ def _fa_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
     eligible = [pair for pair in corpus.comm if 1 <= len(pair[1].links) <= 5]
     eligible.sort(key=lambda pair: -len(pair[1].links))
     for v, g in eligible[:4]:
-        frozen = freeze_graph_solution(MYERSON_SOLUTION, v, g)
-        ext = graph_ess_solution(frozen)
+        ext = wrap(GRAPH_ESS_OPERATOR, freeze_solution(MYERSON_SOLUTION, v, g))
         for links in _link_subsets(g.links):
             level = Graph(v.players, links)
             for link in sorted(links):
@@ -860,9 +873,7 @@ def _fa_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
                 yield None if fair else _witness(v, level, link=list(link))
 
 
-def _rbcc_preservation(
-    corpus: Corpus, tol: Tolerance, ext: PartitionSolution
-) -> _Checker:
+def _rbcc_preservation(corpus: Corpus, tol: Tolerance, ext: Solution) -> _Checker:
     """The extension's removal-cycle residual equals the benchmark's."""
     for v, P in corpus.partitioned:
         if v.n > 4:
@@ -923,11 +934,11 @@ def check_theorem_suite(
         reports.append(check_axiom("efficiency", sub, corpus, tol))
         reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
         reports.append(check_axiom("operator-weak-equal-surplus", sub, corpus, tol))
-        for F in DEFAULT_GRAPH_BENCHMARKS:
+        for F in DEFAULT_POOLS[GRAPH]:
             reports.append(
                 check_axiom(
                     "relative-component-surplus-fairness",
-                    graph_subject(graph_ess_solution(F), benchmark=F),
+                    graph_subject(wrap(GRAPH_ESS_OPERATOR, F), benchmark=F),
                     corpus,
                     tol,
                 )
@@ -953,16 +964,16 @@ def check_theorem_suite(
         reports.append(check_axiom("efficiency", sub, corpus, tol))
         reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
         reports.append(check_axiom("operator-weak-equal-surplus", sub, corpus, tol))
-        for F in DEFAULT_PARTITION_BENCHMARKS:
+        for F in DEFAULT_POOLS[PARTITION]:
             reports.append(
                 check_axiom(
                     "relative-block-surplus-fairness",
-                    partition_subject(partition_ess_solution(F), benchmark=F),
+                    partition_subject(wrap(PARTITION_ESS_OPERATOR, F), benchmark=F),
                     corpus,
                     tol,
                 )
             )
-        ext = partition_ess_solution(AUMANN_DREZE)
+        ext = wrap(PARTITION_ESS_OPERATOR, AUMANN_DREZE)
         reports.append(
             _drive(
                 "cyclic-removal-balance-at-game",

@@ -16,55 +16,25 @@ import random
 import sys
 from itertools import combinations
 
-from .axioms import (
-    Corpus,
-    Subject,
-    check_axiom,
-    check_theorem_suite,
-    DEFAULT_BENCHMARKS,
-    DEFAULT_GRAPH_BENCHMARKS,
-    DEFAULT_PARTITION_BENCHMARKS,
-)
-from .coalition import (
-    PARTITION_ESS_OPERATOR,
-    make_partition,
-    named_partition_solution,
-    partition_ess_solution,
-    solve_by_cycle_balance_induction,
-)
-from .comm import (
-    GRAPH_ESS_OPERATOR,
-    Graph,
-    graph_ess_solution,
-    named_graph_solution,
-    solve_by_fairness_induction,
-)
-from .errors import (
-    BadName,
-    DomainViolation,
-    MissingStructure,
-    TugxError,
-    UnknownName,
-    check_name_depth,
-)
+from .axioms import DEFAULT_POOLS, Corpus, Subject, check_axiom, check_theorem_suite
+from .coalition import PARTITION, make_partition, solve_by_cycle_balance_induction
+from .comm import GRAPH, Graph, solve_by_fairness_induction
+from .errors import BadName, DomainViolation, MissingStructure, TugxError, UnknownName
 from .games import DEFAULT_TOL, GENERAL, PROFILES, Game, Tolerance, random_game
 from .io import GameFile, load_game_file, render_game_text, significant
 from .operators import (
-    anchored_ess_operator,
-    anchored_ps_operator,
+    GRAPH_ESS_OPERATOR,
+    PARTITION_ESS_OPERATOR,
+    Operator,
     brute_force_partition_value,
     max_partition_value,
+    named_graph_solution,
     named_operator,
+    named_partition_solution,
+    named_solution,
     wrap,
 )
-from .solutions import (
-    allocations_close,
-    named_solution,
-    shapley,
-    shapley_permutation_oracle,
-)
-
-_ANCHORED = {"anchored-ess": anchored_ess_operator, "anchored-ps": anchored_ps_operator}
+from .solutions import allocations_close, shapley, shapley_permutation_oracle
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -124,58 +94,50 @@ def _load_anchor(path: str | None) -> Game | None:
     return load_game_file(path).game
 
 
-def _named_value_solution(name: str, anchor: Game | None):
-    """named_solution plus anchored-operator spellings, which need --anchor."""
-    check_name_depth(name)
-    for prefix, make in _ANCHORED.items():
-        if name.startswith(prefix + "[") and name.endswith("]"):
-            if anchor is None:
-                raise ValueError(f"{name!r} needs --anchor with a game file")
-            inner = _named_value_solution(name[len(prefix) + 1 : -1], anchor)
-            return wrap(make(anchor), inner)
-    return named_solution(name)
+def _structure(gf: GameFile, rule, name: str) -> tuple:
+    """The file's graph or partition if the rule reads one, else nothing."""
+    if rule.reads is None:
+        return ()
+    # GameFile names its fields after the structures
+    found = getattr(gf, rule.reads.name)
+    if found is None:
+        raise MissingStructure(f"{name!r} needs a {rule.reads.name} in the game file")
+    return (found,)
 
 
-def _named_plain_operator(name: str, anchor: Game | None):
-    if name in _ANCHORED:
-        if anchor is None:
-            raise ValueError(f"{name!r} needs --anchor with a game file")
-        return _ANCHORED[name](anchor)
-    return named_operator(name)
-
-
-_KIND_POOLS = {
-    "operator": DEFAULT_BENCHMARKS,
-    "graph-operator": DEFAULT_GRAPH_BENCHMARKS,
-    "partition-operator": DEFAULT_PARTITION_BENCHMARKS,
-}
-
-
-def _resolve_target(name: str, kind: str | None, anchor: Game | None):
-    resolvers = (
-        ("value", lambda: _named_value_solution(name, anchor)),
-        ("graph", lambda: named_graph_solution(name)),
-        ("partition", lambda: named_partition_solution(name)),
-        ("operator", lambda: _named_plain_operator(name, anchor)),
-        ("graph-operator", lambda: {"graph-ess": GRAPH_ESS_OPERATOR}[name]),
-        ("partition-operator", lambda: {"partition-ess": PARTITION_ESS_OPERATOR}[name]),
-    )
-    for found_kind, resolve in resolvers:
-        if kind is not None and kind != found_kind:
-            continue
+def _rule_or_operator(name: str, anchor: Game | None):
+    """A rule by that name, else an operator; a bad parameter is reported as is."""
+    for lookup in (named_solution, named_operator):
         try:
-            return found_kind, resolve()
-        except (UnknownName, KeyError):
+            return lookup(name, anchor)
+        except BadName:
+            raise
+        except UnknownName:
             continue
-    raise UnknownName(f"no {kind or 'known'} target named {name!r}")
+    raise UnknownName(f"no rule or operator named {name!r}")
 
 
-def _resolve_benchmark(name: str, kind: str, anchor: Game | None):
-    if kind in ("value", "operator"):
-        return _named_value_solution(name, anchor)
-    if kind in ("graph", "graph-operator"):
-        return named_graph_solution(name)
-    return named_partition_solution(name)
+_STRUCTURES = {"graph": GRAPH, "partition": PARTITION}
+
+
+def _subject(args, anchor: Game | None) -> Subject:
+    """--target read as --kind says, else as a rule or failing that an
+    operator.  Inputs carry the structure --kind names, else the one the
+    target reads."""
+    kind = args.kind or ""
+    if kind.endswith("operator"):
+        target = named_operator(args.target, anchor)
+    elif kind:
+        target = named_solution(args.target, anchor)
+    else:
+        target = _rule_or_operator(args.target, anchor)
+    structure = _STRUCTURES.get(kind.split("-")[0]) if kind else target.reads
+    benchmark = named_solution(args.benchmark, anchor) if args.benchmark else None
+    if args.pool:
+        pool = tuple(named_solution(n.strip(), anchor) for n in args.pool.split(","))
+    else:
+        pool = DEFAULT_POOLS[structure] if isinstance(target, Operator) else ()
+    return Subject(target, structure, benchmark, pool)
 
 
 def _emit(obj) -> None:
@@ -210,94 +172,38 @@ def _tol_from(args) -> Tolerance:
     return Tolerance(abs_eps=args.tol, rel_eps=args.tol)
 
 
-def _solve_with_operator(args, gf: GameFile, anchor: Game | None) -> int:
-    """Apply an operator to a named benchmark, showing both sides."""
-    if not args.benchmark:
+def _cmd_solve(args) -> int:
+    gf = load_game_file(args.game)
+    anchor = _load_anchor(args.anchor)
+    if args.operator and not args.benchmark:
         raise ValueError("--operator needs -f/--benchmark")
-    name = args.operator
+    if args.benchmark and not args.operator:
+        raise ValueError("-f/--benchmark only applies with --operator")
+    name = args.benchmark or args.solution
+    f = named_solution(name, anchor)
+    sol = wrap(named_operator(args.operator, anchor), f) if args.operator else f
     v = gf.game
-    try:
-        f = _named_value_solution(args.benchmark, anchor)
-    except UnknownName as exc:
-        value_err = exc if isinstance(exc, BadName) else None
-        try:
-            F = named_graph_solution(args.benchmark)
-        except UnknownName:
-            try:
-                Fp = named_partition_solution(args.benchmark)
-            except UnknownName:
-                raise value_err or UnknownName(
-                    f"no benchmark named {args.benchmark!r}"
-                ) from None
-            if name not in ("ess", "partition-ess"):
-                raise UnknownName(f"no partition operator named {name!r}") from None
-            if gf.partition is None:
-                raise MissingStructure(
-                    f"{args.benchmark!r} needs a partition in the game file"
-                ) from None
-            bench = Fp(v, gf.partition)
-            out = PARTITION_ESS_OPERATOR(Fp, v, gf.partition)
-        else:
-            if name not in ("ess", "graph-ess"):
-                raise UnknownName(f"no graph operator named {name!r}")
-            if gf.graph is None:
-                raise MissingStructure(
-                    f"{args.benchmark!r} needs a graph in the game file"
-                )
-            bench = F(v, gf.graph)
-            out = GRAPH_ESS_OPERATOR(F, v, gf.graph)
-    else:
-        op = _named_plain_operator(name, anchor)
-        bench = f(v)
-        out = op(f, v)
+    structure = _structure(gf, sol, name)
+    if not args.operator:
+        out = sol(v, *structure)
+        _emit(
+            {
+                "solution": name,
+                "payoffs": _payoff_dict(out),
+                "total": significant(_total(out)),
+            }
+        )
+        return 0
+    bench = f(v, *structure)
+    out = sol(v, *structure)
     _emit(
         {
-            "operator": name,
-            "benchmark": args.benchmark,
+            "operator": args.operator,
+            "benchmark": name,
             "benchmark_payoffs": _payoff_dict(bench),
             "surplus": _finite(
                 _total(out) - _total(bench, "benchmark total"), "surplus"
             ),
-            "payoffs": _payoff_dict(out),
-            "total": significant(_total(out)),
-        }
-    )
-    return 0
-
-
-def _cmd_solve(args) -> int:
-    gf = load_game_file(args.game)
-    anchor = _load_anchor(args.anchor)
-    if args.operator:
-        return _solve_with_operator(args, gf, anchor)
-    if args.benchmark:
-        raise ValueError("-f/--benchmark only applies with --operator")
-    name = args.solution
-    try:
-        sol = _named_value_solution(name, anchor)
-        out = sol(gf.game)
-    except UnknownName as exc:
-        # a specific reason (bad parameter, nesting too deep) beats the generic one
-        value_err = exc if isinstance(exc, BadName) else None
-        try:
-            gsol = named_graph_solution(name)
-        except UnknownName:
-            try:
-                psol = named_partition_solution(name)
-            except UnknownName:
-                raise value_err or UnknownName(f"no solution named {name!r}") from None
-            if gf.partition is None:
-                raise MissingStructure(
-                    f"{name!r} needs a partition in the game file"
-                ) from None
-            out = psol(gf.game, gf.partition)
-        else:
-            if gf.graph is None:
-                raise MissingStructure(f"{name!r} needs a graph in the game file")
-            out = gsol(gf.game, gf.graph)
-    _emit(
-        {
-            "solution": name,
             "payoffs": _payoff_dict(out),
             "total": significant(_total(out)),
         }
@@ -315,19 +221,7 @@ def _cmd_check(args) -> int:
     if args.axiom:
         if not args.target:
             raise ValueError("--axiom needs --target")
-        kind, target = _resolve_target(args.target, args.kind, anchor)
-        benchmark = None
-        if args.benchmark:
-            benchmark = _resolve_benchmark(args.benchmark, kind, anchor)
-        pool = _KIND_POOLS.get(kind, ())
-        if args.pool:
-            pool = tuple(
-                _resolve_benchmark(n.strip(), kind, anchor)
-                for n in args.pool.split(",")
-            )
-        reports.append(
-            check_axiom(args.axiom, Subject(kind, target, benchmark, pool), corpus, tol)
-        )
+        reports.append(check_axiom(args.axiom, _subject(args, anchor), corpus, tol))
     if not reports:
         raise ValueError("nothing to check: pass --suite and/or --axiom")
     failed = sum(1 for report in reports if not report.passed)
@@ -396,7 +290,7 @@ def _cmd_oracle(args) -> int:
         if gf.graph is None:
             raise MissingStructure("fairness-induction needs a graph in the game file")
         F = named_graph_solution(args.benchmark or "myerson")
-        fast = graph_ess_solution(F)(v, gf.graph)
+        fast = wrap(GRAPH_ESS_OPERATOR, F)(v, gf.graph)
         ref = solve_by_fairness_induction(F, v, gf.graph, tol=tol)
         match = allocations_close(fast, ref, tol)
         payload = {"fast": _payoff_dict(fast), "reference": _payoff_dict(ref)}
@@ -404,7 +298,7 @@ def _cmd_oracle(args) -> int:
         if gf.partition is None:
             raise MissingStructure("cycle-induction needs a partition in the game file")
         F = named_partition_solution(args.benchmark or "aumann-dreze")
-        fast = partition_ess_solution(F)(v, gf.partition)
+        fast = wrap(PARTITION_ESS_OPERATOR, F)(v, gf.partition)
         ref = solve_by_cycle_balance_induction(F, v, gf.partition, tol=tol)
         match = allocations_close(fast, ref, tol)
         payload = {"fast": _payoff_dict(fast), "reference": _payoff_dict(ref)}

@@ -1,20 +1,19 @@
 """Games played under a coalition structure.
 
-A partition groups the players into disjoint blocks.  Solutions here take a
-game together with a partition of its players.  The induction solver
-reconstructs the equal-surplus extension of a benchmark from removal cycles
-on a null-extended game plus block-sum constraints.
+A partition groups the players into disjoint blocks.  Rules that read
+``PARTITION`` take a game together with a partition of its players.  The
+induction solver reconstructs the equal-surplus extension of a benchmark
+from removal cycles on a null-extended game plus block-sum constraints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainViolation, InconsistentSystem, UnknownName, check_name_depth
+from .errors import DomainViolation, InconsistentSystem
 from .games import DEFAULT_TOL, Game, Tolerance, subgame
-from .solutions import Allocation, shapley
+from .solutions import Allocation, Solution, Structure, shapley
 
 Partition = tuple[frozenset[int], ...]
 
@@ -55,82 +54,12 @@ def aumann_dreze(v: Game, P: Partition) -> Allocation:
     return Allocation.from_mapping(payoffs)
 
 
-PartitionBenchmark = Callable[[Game, Partition], Allocation]
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionSolution:
-    """Named payoff rule for (game, partition) pairs; identity by name."""
-
-    name: str
-    kind: str
-    func: PartitionBenchmark = field(repr=False)
-
-    def __call__(self, v: Game, P: Iterable[Iterable[int]]) -> Allocation:
-        part = make_partition(P, v.players)
-        out = self.func(v, part)
-        if out.players != v.players:
-            raise ValueError(
-                f"partition solution {self.name!r} misaligned its payoffs"
-            )
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PartitionSolution) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-
-def apply_partition_ess_operator(
-    F: PartitionBenchmark, v: Game, P: Partition
-) -> Allocation:
-    """Benchmark payoffs plus an equal share of the leftover surplus."""
-    out = F(v, P)
-    share = (v.grand - math.fsum(out.values)) / v.n
-    return Allocation(v.players, tuple(x + share for x in out.values))
-
-
-def ee_aumann_dreze(v: Game, P: Partition) -> Allocation:
-    return apply_partition_ess_operator(aumann_dreze, v, P)
-
-
-AUMANN_DREZE = PartitionSolution("aumann-dreze", "blockwise-shapley", aumann_dreze)
-EE_AUMANN_DREZE = PartitionSolution("ee-aumann-dreze", "ess-extension", ee_aumann_dreze)
-ZERO_PARTITION = PartitionSolution(
-    "zero", "zero", lambda v, P: Allocation(v.players, (0.0,) * v.n)
+PARTITION = Structure("partition", lambda v, P: make_partition(P, v.players))
+AUMANN_DREZE = Solution(
+    "aumann-dreze", "blockwise-shapley", aumann_dreze, reads=PARTITION
 )
 
-
-def partition_ess_solution(F: PartitionSolution) -> PartitionSolution:
-    """The equal-surplus extension of a named benchmark, as a solution."""
-    return PartitionSolution(
-        f"partition-ess[{F.name}]",
-        "ess-extension",
-        lambda v, P: apply_partition_ess_operator(F, v, P),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionOperator:
-    """Named map from a benchmark and a (game, partition) pair to payoffs."""
-
-    name: str
-    func: Callable[[PartitionBenchmark, Game, Partition], Allocation] = field(
-        repr=False
-    )
-
-    def __call__(self, F: PartitionBenchmark, v: Game, P: Partition) -> Allocation:
-        return self.func(F, v, P)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PartitionOperator) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-
-PARTITION_ESS_OPERATOR = PartitionOperator("partition-ess", apply_partition_ess_operator)
+PartitionBenchmark = Callable[[Game, Partition], Allocation]
 
 
 def split_off(P: Partition, i: int) -> Partition:
@@ -273,49 +202,3 @@ def solve_by_cycle_balance_induction(
         for s, i in enumerate(members):
             payoffs[i] = rel[s] + shift
     return Allocation.from_mapping(payoffs)
-
-
-def freeze_partition_solution(
-    F: PartitionSolution, v0: Game, P0: Partition
-) -> PartitionSolution:
-    """Restrict F to inputs sharing the given game or the given partition."""
-
-    def func(v: Game, P: Partition) -> Allocation:
-        if v != v0 and P != P0:
-            raise DomainViolation("input is outside the frozen cross domain")
-        return F(v, P)
-
-    return PartitionSolution(f"frozen[{F.name}]", "frozen", func)
-
-
-def partition_table_solution(
-    name: str, entries: dict[tuple[Game, Partition], Allocation]
-) -> PartitionSolution:
-    """Finite lookup; off-table pairs are a domain violation."""
-    frozen = dict(entries)
-
-    def func(v: Game, P: Partition) -> Allocation:
-        try:
-            return frozen[(v, P)]
-        except KeyError:
-            raise DomainViolation(f"{name!r} has no entry for this input") from None
-
-    return PartitionSolution(name, "table", func)
-
-
-_BASE: dict[str, PartitionSolution] = {
-    s.name: s for s in (AUMANN_DREZE, EE_AUMANN_DREZE, ZERO_PARTITION)
-}
-_ALIASES = {"ad": "aumann-dreze", "ee-ad": "ee-aumann-dreze"}
-
-
-def named_partition_solution(name: str) -> PartitionSolution:
-    check_name_depth(name)
-    key = _ALIASES.get(name, name)
-    if key in _BASE:
-        return _BASE[key]
-    if key.startswith("partition-ess[") and key.endswith("]"):
-        return partition_ess_solution(
-            named_partition_solution(key[len("partition-ess[") : -1])
-        )
-    raise UnknownName(f"unknown partition solution {name!r}")

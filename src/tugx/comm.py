@@ -1,21 +1,21 @@
 """Games restricted by a communication graph.
 
 Players can only cooperate along links: a coalition is worth the sum of its
-connected parts.  Solutions here take a game together with a graph on the
-same players.  The induction solver reconstructs the equal-surplus extension
-of a benchmark from link-removal equations alone.
+connected parts.  Rules that read ``GRAPH`` take a game together with a
+graph on the same players.  The induction solver reconstructs the
+equal-surplus extension of a benchmark from link-removal equations alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import DomainViolation, InconsistentSystem, UnknownName, check_name_depth
+from .errors import DomainViolation, InconsistentSystem
 from .games import DEFAULT_TOL, Game, Tolerance
-from .solutions import Allocation, shapley
+from .solutions import Allocation, Solution, Structure, shapley
 
 Link = tuple[int, int]
 
@@ -194,77 +194,16 @@ def myerson(v: Game, g: Graph) -> Allocation:
     return shapley(restricted_game(v, g))
 
 
+def _aligned_graph(v: Game, g: Graph) -> Graph:
+    if g.players != v.players:
+        raise ValueError("graph and game must share the player set")
+    return g
+
+
+GRAPH = Structure("graph", _aligned_graph)
+MYERSON_SOLUTION = Solution("myerson", "restricted-shapley", myerson, reads=GRAPH)
+
 GraphBenchmark = Callable[[Game, Graph], Allocation]
-
-
-@dataclass(frozen=True, eq=False)
-class GraphSolution:
-    """Named payoff rule for (game, graph) pairs; identity goes by name."""
-
-    name: str
-    kind: str
-    func: GraphBenchmark = field(repr=False)
-
-    def __call__(self, v: Game, g: Graph) -> Allocation:
-        if g.players != v.players:
-            raise ValueError("graph and game must share the player set")
-        out = self.func(v, g)
-        if out.players != v.players:
-            raise ValueError(f"graph solution {self.name!r} misaligned its payoffs")
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GraphSolution) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-
-def apply_graph_ess_operator(F: GraphBenchmark, v: Game, g: Graph) -> Allocation:
-    """Benchmark payoffs plus an equal share of the leftover surplus."""
-    out = F(v, g)
-    share = (v.grand - math.fsum(out.values)) / v.n
-    return Allocation(v.players, tuple(x + share for x in out.values))
-
-
-def ee_myerson(v: Game, g: Graph) -> Allocation:
-    return apply_graph_ess_operator(myerson, v, g)
-
-
-MYERSON_SOLUTION = GraphSolution("myerson", "restricted-shapley", myerson)
-EE_MYERSON = GraphSolution("ee-myerson", "ess-extension", ee_myerson)
-ZERO_GRAPH = GraphSolution(
-    "zero", "zero", lambda v, g: Allocation(v.players, (0.0,) * v.n)
-)
-
-
-def graph_ess_solution(F: GraphSolution) -> GraphSolution:
-    """The equal-surplus extension of a named benchmark, as a solution."""
-    return GraphSolution(
-        f"graph-ess[{F.name}]",
-        "ess-extension",
-        lambda v, g: apply_graph_ess_operator(F, v, g),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class GraphOperator:
-    """Named map from a graph benchmark and a (game, graph) pair to payoffs."""
-
-    name: str
-    func: Callable[[GraphBenchmark, Game, Graph], Allocation] = field(repr=False)
-
-    def __call__(self, F: GraphBenchmark, v: Game, g: Graph) -> Allocation:
-        return self.func(F, v, g)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GraphOperator) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-
-GRAPH_ESS_OPERATOR = GraphOperator("graph-ess", apply_graph_ess_operator)
 
 
 def component_surplus_share(
@@ -354,43 +293,3 @@ def solve_by_fairness_induction(
         return out
 
     return solve(g.links)
-
-
-def freeze_graph_solution(F: GraphSolution, v0: Game, g0: Graph) -> GraphSolution:
-    """Restrict F to inputs sharing the given game or the given graph."""
-
-    def func(v: Game, g: Graph) -> Allocation:
-        if v != v0 and g != g0:
-            raise DomainViolation("input is outside the frozen cross domain")
-        return F(v, g)
-
-    return GraphSolution(f"frozen[{F.name}]", "frozen", func)
-
-
-def graph_table_solution(
-    name: str, entries: dict[tuple[Game, Graph], Allocation]
-) -> GraphSolution:
-    """Finite lookup; off-table pairs are a domain violation."""
-    frozen = dict(entries)
-
-    def func(v: Game, g: Graph) -> Allocation:
-        try:
-            return frozen[(v, g)]
-        except KeyError:
-            raise DomainViolation(f"{name!r} has no entry for this input") from None
-
-    return GraphSolution(name, "table", func)
-
-
-_BASE: dict[str, GraphSolution] = {
-    s.name: s for s in (MYERSON_SOLUTION, EE_MYERSON, ZERO_GRAPH)
-}
-
-
-def named_graph_solution(name: str) -> GraphSolution:
-    check_name_depth(name)
-    if name in _BASE:
-        return _BASE[name]
-    if name.startswith("graph-ess[") and name.endswith("]"):
-        return graph_ess_solution(named_graph_solution(name[len("graph-ess[") : -1]))
-    raise UnknownName(f"unknown graph solution {name!r}")

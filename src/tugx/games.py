@@ -33,6 +33,13 @@ class Tolerance:
     abs_eps: float = 1e-9
     rel_eps: float = 1e-9
 
+    def __post_init__(self) -> None:
+        for eps in (self.abs_eps, self.rel_eps):
+            if not (math.isfinite(eps) and eps >= 0.0):
+                raise ValueError(
+                    f"tolerance must be finite and nonnegative, got {eps}"
+                )
+
     def eq(self, a: float, b: float) -> bool:
         return abs(a - b) <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))
 
@@ -272,3 +279,39 @@ def iter_set_partitions(items: Iterable[int]) -> Iterator[tuple[frozenset[int], 
         blocks.pop()
 
     yield from rec(0, [])
+
+
+def sample_set_partitions(
+    items: Iterable[int], k: int, rng: random.Random
+) -> list[tuple[frozenset[int], ...]]:
+    """``rng.sample(list(iter_set_partitions(items)), k)``, or every
+    partition in that order when there are at most k, without listing them.
+
+    iter_set_partitions yields restricted-growth strings in lexicographic
+    order: item t joins one of the m blocks opened so far, in order, or
+    opens block m.  ``ways[r][m]`` counts the ways to place r more items
+    beside m blocks (only m + r <= n is ever read), so the partition at an
+    index is read off digit by digit.  ``rng.sample`` draws the same numbers from a range as from a
+    list of the same length, so the sample is the same.
+    """
+    seq = sorted(items)
+    n = len(seq)
+    ways = [[1] * (n + 2)]
+    for r in range(1, n + 1):
+        prev = ways[-1]
+        ways.append([m * prev[m] + prev[m + 1] for m in range(n + 1)] + [0])
+    total = ways[n][0]
+    picks = range(total) if total <= k else rng.sample(range(total), k)
+    out = []
+    for index in picks:
+        blocks: list[list[int]] = []
+        for t, x in enumerate(seq):
+            each = ways[n - t - 1][len(blocks)]
+            if index < each * len(blocks):
+                blocks[index // each].append(x)
+                index %= each
+            else:
+                index -= each * len(blocks)
+                blocks.append([x])
+        out.append(tuple(frozenset(b) for b in blocks))
+    return out

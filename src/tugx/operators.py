@@ -5,40 +5,61 @@ benchmark total: the ess flavor splits it equally, the ps flavor rescales the
 benchmark proportionally.  Variants here cover payoff-dependent weights,
 an anchor-game construction used as a counterexample, and cohesive versions
 that target the best partition worth instead of the grand worth.
+
+Every operator takes ``(f, v, *structure)`` and hands the structure to the
+benchmark f alone, so one operator serves plain games, communication graphs
+and coalition structures: the efficient extensions of the Myerson and
+Aumann-Dreze values are the ess operator over those benchmarks.  This module
+also resolves every rule name, ``op[inner]`` nesting included.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, NamedTuple
 
-from .errors import BadName, DomainViolation, UnknownName
+from .coalition import AUMANN_DREZE, PARTITION
+from .comm import GRAPH, MYERSON_SOLUTION
+from .errors import BadName, DomainViolation, UnknownName, check_name_depth
 from .games import DEFAULT_TOL, Game, Tolerance, iter_set_partitions
 from .solutions import (
     ALL_GAMES,
+    EQUAL_DIVISION,
+    ESS_VALUE,
     POSITIVE_GAMES,
+    PS_VALUE,
+    SHAPLEY,
+    STAND_ALONE,
+    ZERO,
     Allocation,
     Solution,
+    Structure,
+    constant_solution,
+    lead_singleton_solution,
     singleton_total,
 )
 
-Benchmark = Solution | Callable[[Game], Allocation]
+# A benchmark: a Solution, or any callable over (game, *structure).
+Benchmark = Solution | Callable[..., Allocation]
 
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Named map from a benchmark solution and a game to a payoff vector."""
+    """Named map from a benchmark and a (game, *structure) input to payoffs.
+
+    ``reads`` is a structure the operator's name promises (``graph-ess``
+    reads a graph), or None for an operator that serves any input.
+    """
 
     name: str
-    func: Callable[[Benchmark, Game], Allocation] = field(repr=False)
+    func: Callable[..., Allocation] = field(repr=False)
     domain: str = ALL_GAMES
-    # Games the operator's definition depends on, beyond its argument.
-    extra_games: tuple[Game, ...] = ()
+    reads: Structure | None = None
 
-    def __call__(self, f: Benchmark, v: Game) -> Allocation:
-        return self.func(f, v)
+    def __call__(self, f: Benchmark, v: Game, *structure: Any) -> Allocation:
+        return self.func(f, v, *structure)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Operator) and other.name == self.name
@@ -52,9 +73,9 @@ def _ess_shares(out: Allocation, v: Game) -> Allocation:
     return Allocation(v.players, tuple(x + share for x in out.values))
 
 
-def apply_ess_operator(f: Benchmark, v: Game) -> Allocation:
+def apply_ess_operator(f: Benchmark, v: Game, *structure: Any) -> Allocation:
     """Benchmark payoffs plus an equal share of the leftover surplus."""
-    return _ess_shares(f(v), v)
+    return _ess_shares(f(v, *structure), v)
 
 
 def _positive_total(out: Allocation) -> float:
@@ -82,10 +103,10 @@ def _ps_shares(out: Allocation, v: Game) -> Allocation:
     return Allocation(v.players, tuple(x / total * v.grand for x in out.values))
 
 
-def apply_ps_operator(f: Benchmark, v: Game) -> Allocation:
+def apply_ps_operator(f: Benchmark, v: Game, *structure: Any) -> Allocation:
     """Grand worth split in proportion to benchmark payoffs."""
     _require_positive_singletons(v)
-    return _ps_shares(f(v), v)
+    return _ps_shares(f(v, *structure), v)
 
 
 @dataclass(frozen=True)
@@ -123,6 +144,7 @@ def apply_weighted_operator(
     f: Benchmark,
     scheme: WeightScheme,
     v: Game,
+    *structure: Any,
     tol: Tolerance = DEFAULT_TOL,
 ) -> Allocation:
     """Benchmark payoffs plus scheme-weighted shares of the surplus.
@@ -130,7 +152,7 @@ def apply_weighted_operator(
     The scheme must produce one weight per player, weights summing to one,
     and equal weights for players with identical benchmark payoffs.
     """
-    out = f(v)
+    out = f(v, *structure)
     weights = scheme(out.values)
     if len(weights) != v.n:
         raise ValueError(f"scheme {scheme.name!r} produced {len(weights)} weights")
@@ -163,26 +185,21 @@ def _anchored_operator(flavor: str, anchor: Game, shares, domain: str) -> Operat
     gets its own run, since equal worths may differ in the sign of a zero.
     """
 
-    def func(f: Benchmark, v: Game) -> Allocation:
+    def func(f: Benchmark, v: Game, *structure: Any) -> Allocation:
         if v.players != anchor.players:
             raise DomainViolation("anchored operator needs the anchor's player set")
         if domain == POSITIVE_GAMES:
             _require_positive_singletons(v)
-        out = f(v)
+        out = f(v, *structure)
         base = shares(out, v)
-        at_anchor = out if v is anchor else f(anchor)
+        at_anchor = out if v is anchor else f(anchor, *structure)
         mean = math.fsum(at_anchor.values) / v.n
         return Allocation(
             v.players,
             tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
         )
 
-    return Operator(
-        f"anchored-{flavor}:{_game_digest(anchor)}",
-        func,
-        domain=domain,
-        extra_games=(anchor,),
-    )
+    return Operator(f"anchored-{flavor}:{_game_digest(anchor)}", func, domain=domain)
 
 
 def anchored_ess_operator(anchor: Game) -> Operator:
@@ -266,24 +283,26 @@ def brute_force_partition_value(v: Game) -> float:
     )
 
 
-def apply_cohesive_ess(f: Benchmark, v: Game) -> Allocation:
+def apply_cohesive_ess(f: Benchmark, v: Game, *structure: Any) -> Allocation:
     """Equal-surplus sharing aimed at the best partition worth."""
     target = max_partition_value(v).value
-    out = f(v)
+    out = f(v, *structure)
     share = (target - math.fsum(out.values)) / v.n
     return Allocation(v.players, tuple(x + share for x in out.values))
 
 
-def apply_cohesive_ps(f: Benchmark, v: Game) -> Allocation:
+def apply_cohesive_ps(f: Benchmark, v: Game, *structure: Any) -> Allocation:
     """Proportional sharing aimed at the best partition worth."""
     _require_positive_singletons(v)
     target = max_partition_value(v).value
-    out = f(v)
+    out = f(v, *structure)
     total = _positive_total(out)
     return Allocation(v.players, tuple(x / total * target for x in out.values))
 
 
 ESS_OPERATOR = Operator("ess", apply_ess_operator)
+GRAPH_ESS_OPERATOR = Operator("graph-ess", apply_ess_operator, reads=GRAPH)
+PARTITION_ESS_OPERATOR = Operator("partition-ess", apply_ess_operator, reads=PARTITION)
 PS_OPERATOR = Operator("ps", apply_ps_operator, domain=POSITIVE_GAMES)
 COHESIVE_ESS_OPERATOR = Operator("cohesive-ess", apply_cohesive_ess)
 COHESIVE_PS_OPERATOR = Operator(
@@ -295,20 +314,40 @@ def weighted_operator(alpha: float) -> Operator:
     """Surplus sharing with convex equal/proportional weights."""
     scheme = convex_weights(alpha)
 
-    def func(f: Benchmark, v: Game) -> Allocation:
-        return apply_weighted_operator(f, scheme, v)
+    def func(f: Benchmark, v: Game, *structure: Any) -> Allocation:
+        return apply_weighted_operator(f, scheme, v, *structure)
 
     return Operator(f"weighted:{format(float(alpha), 'g')}", func)
 
 
 def wrap(op: Operator, f: Solution) -> Solution:
-    """The operator applied to a fixed benchmark, packaged as a solution."""
+    """The operator applied to a fixed benchmark, packaged as a solution
+    that reads what the operator's name or the benchmark reads."""
+    if op.reads and f.reads and op.reads != f.reads:
+        raise ValueError(
+            f"{op.name!r} reads a {op.reads.name}, {f.name!r} a {f.reads.name}"
+        )
     domain = (
         POSITIVE_GAMES
         if POSITIVE_GAMES in (op.domain, f.domain)
         else ALL_GAMES
     )
-    return Solution(f"{op.name}[{f.name}]", "wrapped", lambda v: op(f, v), domain)
+    return Solution(
+        f"{op.name}[{f.name}]",
+        "wrapped",
+        lambda v, *structure: op(f, v, *structure),
+        domain,
+        op.reads or f.reads,
+    )
+
+
+def _extension(name: str, f: Solution) -> Solution:
+    """The ess operator over f, under a name of its own."""
+    return replace(wrap(ESS_OPERATOR, f), name=name, kind="ess-extension")
+
+
+EE_MYERSON = _extension("ee-myerson", MYERSON_SOLUTION)
+EE_AUMANN_DREZE = _extension("ee-aumann-dreze", AUMANN_DREZE)
 
 
 def surplus_matched_game(f: Benchmark, v: Game, i: int) -> Game:
@@ -334,24 +373,93 @@ def ratio_matched_game(f: Benchmark, v: Game, i: int) -> Game:
     return Game(v.players, tuple(worth))
 
 
-_BASE: dict[str, Operator] = {
+_OPERATORS: dict[str, Operator] = {
     op.name: op
     for op in (
         ESS_OPERATOR,
+        GRAPH_ESS_OPERATOR,
+        PARTITION_ESS_OPERATOR,
         PS_OPERATOR,
         COHESIVE_ESS_OPERATOR,
         COHESIVE_PS_OPERATOR,
     )
 }
+_ANCHORED = {"anchored-ess": anchored_ess_operator, "anchored-ps": anchored_ps_operator}
 
 
-def named_operator(name: str) -> Operator:
-    """Look up an operator by name; supports weighted:<alpha>."""
-    if name in _BASE:
-        return _BASE[name]
+def named_operator(name: str, anchor: Game | None = None) -> Operator:
+    """Look up an operator by name; supports weighted:<alpha> and, given an
+    anchor game, anchored-ess and anchored-ps."""
+    if name in _OPERATORS:
+        return _OPERATORS[name]
+    if name in _ANCHORED:
+        if anchor is None:
+            raise ValueError(f"{name!r} needs an anchor game")
+        return _ANCHORED[name](anchor)
     if name.startswith("weighted:"):
         try:
             return weighted_operator(float(name.split(":", 1)[1]))
         except ValueError:
             raise BadName(f"bad blend parameter in {name!r}") from None
-    raise UnknownName(f"unknown operator {name!r}")
+    raise UnknownName(f"no operator named {name!r}")
+
+
+_SOLUTIONS: dict[str, Solution] = {
+    s.name: s
+    for s in (
+        SHAPLEY,
+        STAND_ALONE,
+        EQUAL_DIVISION,
+        ESS_VALUE,
+        PS_VALUE,
+        ZERO,
+        MYERSON_SOLUTION,
+        EE_MYERSON,
+        AUMANN_DREZE,
+        EE_AUMANN_DREZE,
+    )
+}
+_ALIASES = {
+    "ed": "equal-division",
+    "stand-alone": "standalone",
+    "ad": "aumann-dreze",
+    "ee-ad": "ee-aumann-dreze",
+}
+
+
+def named_solution(name: str, anchor: Game | None = None) -> Solution:
+    """The one name resolver: base rules of every structure, constant:<c>,
+    lead-singleton, and op[inner] for any operator named_operator knows."""
+    check_name_depth(name)
+    key = _ALIASES.get(name, name)
+    if key in _SOLUTIONS:
+        return _SOLUTIONS[key]
+    if key == "lead-singleton":
+        return lead_singleton_solution()
+    if key.startswith("constant:"):
+        try:
+            return constant_solution(float(key.split(":", 1)[1]))
+        except ValueError:
+            raise BadName(f"bad constant payoff in {name!r}") from None
+    if key.endswith("]") and "[" in key:
+        op_name, inner = key[:-1].split("[", 1)
+        return wrap(named_operator(op_name, anchor), named_solution(inner, anchor))
+    raise UnknownName(f"no solution named {name!r}")
+
+
+def _reading(rule: Solution, structure: Structure) -> Solution:
+    if rule.reads not in (None, structure):
+        raise UnknownName(
+            f"{rule.name!r} reads a {rule.reads.name}, not a {structure.name}"
+        )
+    return rule
+
+
+def named_graph_solution(name: str) -> Solution:
+    """named_solution, limited to rules that run on a game with a graph."""
+    return _reading(named_solution(name), GRAPH)
+
+
+def named_partition_solution(name: str) -> Solution:
+    """named_solution, limited to rules that run on a game with a partition."""
+    return _reading(named_solution(name), PARTITION)

@@ -1,8 +1,10 @@
 """Single-valued solutions for TU games.
 
-A Solution pairs a name with a payoff function.  Names double as identity:
-two Solution objects compare equal iff their names match, which lets tests
-and the command line treat them as registry keys.
+A Solution pairs a name with a payoff function over a game and, when the
+rule needs one, a structure on its players: a communication graph or a
+partition.  Names double as identity: two Solution objects compare equal iff
+their names match, which lets tests and the command line treat them as
+registry keys.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, permutations
 from operator import mul, sub
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
-from .errors import BadName, DomainViolation, UnknownName, check_name_depth
+from .errors import DomainViolation, MissingStructure
 from .games import DEFAULT_TOL, Game, Tolerance
 
 ALL_GAMES = "all"
@@ -55,17 +57,39 @@ def allocations_close(a: Allocation, b: Allocation, tol: Tolerance = DEFAULT_TOL
     return all(tol.eq(x, y) for x, y in zip(a.values, b.values))
 
 
+class Structure(NamedTuple):
+    """A kind of structure a rule may read besides the game.
+
+    ``align(v, s)`` checks that s fits the game v, raising ValueError if
+    not, and returns s in canonical form.
+    """
+
+    name: str
+    align: Callable[[Game, Any], Any]
+
+
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Named payoff rule; identity and hashing go by name."""
+    """Named payoff rule; identity and hashing go by name.
+
+    ``reads`` is the structure the rule needs after the game, or None.  A
+    rule that reads none ignores a structure passed to it, so every rule
+    can serve as a benchmark over graphs and partitions.
+    """
 
     name: str
     kind: str
-    func: Callable[[Game], Allocation] = field(repr=False)
+    func: Callable[..., Allocation] = field(repr=False)
     domain: str = ALL_GAMES
+    reads: Structure | None = None
 
-    def __call__(self, v: Game) -> Allocation:
-        out = self.func(v)
+    def __call__(self, v: Game, *structure: Any) -> Allocation:
+        if self.reads is None:
+            out = self.func(v)
+        elif not structure:
+            raise MissingStructure(f"{self.name!r} needs a {self.reads.name}")
+        else:
+            out = self.func(v, self.reads.align(v, structure[0]))
         if out.players != v.players:
             raise ValueError(f"solution {self.name!r} misaligned its payoff vector")
         return out
@@ -206,29 +230,13 @@ def table_solution(name: str, entries: Mapping[Game, Allocation]) -> Solution:
     return Solution(name, "table", func)
 
 
-_BASE: dict[str, Solution] = {
-    s.name: s
-    for s in (SHAPLEY, STAND_ALONE, EQUAL_DIVISION, ESS_VALUE, PS_VALUE, ZERO)
-}
-_ALIASES = {"ed": "equal-division", "stand-alone": "standalone"}
+def freeze_solution(F: Solution, v0: Game, s0: Any) -> Solution:
+    """Restrict F, a rule that reads a structure, to inputs sharing the
+    given game or the given structure."""
 
+    def func(v: Game, s: Any) -> Allocation:
+        if v != v0 and s != s0:
+            raise DomainViolation("input is outside the frozen cross domain")
+        return F(v, s)
 
-def named_solution(name: str) -> Solution:
-    """Look up a solution by name; supports constant:<c> and op[sol] nesting."""
-    check_name_depth(name)
-    key = _ALIASES.get(name, name)
-    if key in _BASE:
-        return _BASE[key]
-    if key == "lead-singleton":
-        return lead_singleton_solution()
-    if key.startswith("constant:"):
-        try:
-            return constant_solution(float(key.split(":", 1)[1]))
-        except ValueError:
-            raise BadName(f"bad constant payoff in {name!r}") from None
-    if key.endswith("]") and "[" in key:
-        from .operators import named_operator, wrap
-
-        op_name, inner = key[:-1].split("[", 1)
-        return wrap(named_operator(op_name), named_solution(inner))
-    raise UnknownName(f"unknown solution {name!r}")
+    return Solution(f"frozen[{F.name}]", "frozen", func, reads=F.reads)

@@ -15,23 +15,17 @@ from tugx.axioms import Corpus, check_axiom, operator_subject, value_subject, pa
 from tugx.cli import main
 from tugx.coalition import (
     AUMANN_DREZE,
-    EE_AUMANN_DREZE,
-    ZERO_PARTITION,
     aumann_dreze,
     cycle_balance_residual,
     make_partition,
-    partition_ess_solution,
     solve_by_cycle_balance_induction,
 )
 from tugx.comm import (
-    EE_MYERSON,
     MYERSON_SOLUTION,
-    ZERO_GRAPH,
     Graph,
     all_graphs,
     component_surplus_share,
     components,
-    graph_ess_solution,
     myerson,
     solve_by_fairness_induction,
 )
@@ -46,7 +40,11 @@ from tugx.games import (
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
+    EE_AUMANN_DREZE,
+    EE_MYERSON,
     ESS_OPERATOR,
+    GRAPH_ESS_OPERATOR,
+    PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
     anchored_ess_operator,
     brute_force_partition_value,
@@ -58,6 +56,7 @@ from tugx.solutions import (
     EQUAL_DIVISION,
     SHAPLEY,
     STAND_ALONE,
+    ZERO,
     allocations_close,
     constant_solution,
     ess_value,
@@ -261,8 +260,8 @@ def test_induction_solvers_match_closed_forms():
         players = tuple(range(1, n + 1))
         graphs = list(all_graphs(players))
         for v in _games(n, game_count, base_seed=500 + n):
-            for F in (MYERSON_SOLUTION, ZERO_GRAPH):
-                ext = graph_ess_solution(F)
+            for F in (MYERSON_SOLUTION, ZERO):
+                ext = wrap(GRAPH_ESS_OPERATOR, F)
                 cache: dict = {}
                 for g in graphs:
                     got = solve_by_fairness_induction(F, v, g, cache=cache)
@@ -275,8 +274,8 @@ def test_induction_solvers_match_closed_forms():
         parts = list(iter_set_partitions(players))
         assert len(parts) == {2: 2, 3: 5, 4: 15}[n]
         for v in _games(n, 20, base_seed=600 + n):
-            for F in (AUMANN_DREZE, ZERO_PARTITION):
-                ext = partition_ess_solution(F)
+            for F in (AUMANN_DREZE, ZERO):
+                ext = wrap(PARTITION_ESS_OPERATOR, F)
                 for P in parts:
                     got = solve_by_cycle_balance_induction(F, v, P)
                     assert allocations_close(got, ext(v, P), LOOSE)
@@ -339,7 +338,7 @@ def test_negative_witnesses_found(trio):
 
 def test_cycle_balance_preserved_under_extension():
     t0 = time.monotonic()
-    ext = partition_ess_solution(AUMANN_DREZE)
+    ext = wrap(PARTITION_ESS_OPERATOR, AUMANN_DREZE)
     worst = 0.0
     checked = 0
     for n in (2, 3, 4):

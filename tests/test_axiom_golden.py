@@ -27,27 +27,17 @@ from tugx.axioms import (
     partition_subject,
     value_subject,
 )
-from tugx.coalition import (
-    AUMANN_DREZE,
-    EE_AUMANN_DREZE,
-    PARTITION_ESS_OPERATOR,
-    ZERO_PARTITION,
-    freeze_partition_solution,
-    partition_ess_solution,
-)
-from tugx.comm import (
-    EE_MYERSON,
-    GRAPH_ESS_OPERATOR,
-    MYERSON_SOLUTION,
-    ZERO_GRAPH,
-    freeze_graph_solution,
-    graph_ess_solution,
-)
+from tugx.coalition import AUMANN_DREZE
+from tugx.comm import MYERSON_SOLUTION
 from tugx.games import POSITIVE_SINGLETONS, Game
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
+    EE_AUMANN_DREZE,
+    EE_MYERSON,
     ESS_OPERATOR,
+    GRAPH_ESS_OPERATOR,
+    PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
     anchored_ess_operator,
     wrap,
@@ -58,6 +48,8 @@ from tugx.solutions import (
     PS_VALUE,
     SHAPLEY,
     STAND_ALONE,
+    ZERO,
+    freeze_solution,
     lead_singleton_solution,
 )
 
@@ -108,16 +100,16 @@ def golden_reports() -> dict[str, dict]:
         ("component-efficiency", graph_subject(MYERSON_SOLUTION), general),
         ("component-efficiency", graph_subject(EE_MYERSON), general),
         ("link-fairness", graph_subject(EE_MYERSON), general),
-        ("link-fairness", graph_subject(graph_ess_solution(ZERO_GRAPH)), general),
+        ("link-fairness", graph_subject(wrap(GRAPH_ESS_OPERATOR, ZERO)), general),
         ("link-fairness-at-game", graph_subject(EE_MYERSON), general),
         (
             "link-fairness-at-game",
-            graph_subject(graph_ess_solution(freeze_graph_solution(MYERSON_SOLUTION, v0, g0))),
+            graph_subject(wrap(GRAPH_ESS_OPERATOR, freeze_solution(MYERSON_SOLUTION, v0, g0))),
             general,
         ),
         ("component-surplus-fairness", graph_subject(EE_MYERSON), general),
-        ("component-surplus-fairness", graph_subject(graph_ess_solution(ZERO_GRAPH)), general),
-        ("relative-component-surplus-fairness", graph_subject(EE_MYERSON, ZERO_GRAPH), general),
+        ("component-surplus-fairness", graph_subject(wrap(GRAPH_ESS_OPERATOR, ZERO)), general),
+        ("relative-component-surplus-fairness", graph_subject(EE_MYERSON, ZERO), general),
         # partition family
         ("efficiency", partition_subject(AUMANN_DREZE), general),
         ("split-off-balance", partition_subject(AUMANN_DREZE), general),
@@ -127,12 +119,12 @@ def golden_reports() -> dict[str, dict]:
         ("cyclic-removal-balance-at-game", partition_subject(EE_AUMANN_DREZE), general),
         (
             "cyclic-removal-balance-at-game",
-            partition_subject(partition_ess_solution(freeze_partition_solution(AUMANN_DREZE, w0, P0))),
+            partition_subject(wrap(PARTITION_ESS_OPERATOR, freeze_solution(AUMANN_DREZE, w0, P0))),
             general,
         ),
         ("null-player-gap", partition_subject(EE_AUMANN_DREZE, AUMANN_DREZE), general),
-        ("null-player-gap", partition_subject(EE_AUMANN_DREZE, ZERO_PARTITION), general),
-        ("relative-block-surplus-fairness", partition_subject(EE_AUMANN_DREZE, ZERO_PARTITION), general),
+        ("null-player-gap", partition_subject(EE_AUMANN_DREZE, ZERO), general),
+        ("relative-block-surplus-fairness", partition_subject(EE_AUMANN_DREZE, ZERO), general),
         # operator family
         ("efficiency", operator_subject(PS_OPERATOR), general),
         ("cohesive-efficiency", operator_subject(COHESIVE_ESS_OPERATOR), general),

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -15,17 +16,21 @@ from tugx.axioms import (
     partition_subject,
     value_subject,
 )
-from tugx.coalition import AUMANN_DREZE, EE_AUMANN_DREZE
-from tugx.comm import EE_MYERSON, MYERSON_SOLUTION, ZERO_GRAPH, graph_ess_solution
+from tugx.coalition import AUMANN_DREZE
+from tugx.comm import MYERSON_SOLUTION
 from tugx.errors import IncompatibleSubject, UnknownName
 from tugx.games import POSITIVE_SINGLETONS, Tolerance, is_null_player
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
+    EE_AUMANN_DREZE,
+    EE_MYERSON,
     ESS_OPERATOR,
+    GRAPH_ESS_OPERATOR,
     max_partition_value,
+    wrap,
 )
-from tugx.solutions import ESS_VALUE, PS_VALUE, SHAPLEY, STAND_ALONE
+from tugx.solutions import ESS_VALUE, PS_VALUE, SHAPLEY, STAND_ALONE, ZERO
 
 EXACT = Tolerance(0.0, 0.0)
 
@@ -110,7 +115,7 @@ def test_myerson_fails_plain_efficiency(corpus):
 def test_absolute_vs_relative_component_fairness(corpus):
     # the benchmark-free share formula singles out the egalitarian extension
     # of the component-efficient rule; other benchmarks need the relative form
-    ext = graph_ess_solution(ZERO_GRAPH)
+    ext = wrap(GRAPH_ESS_OPERATOR, ZERO)
     report = check_axiom("component-surplus-fairness", graph_subject(ext), corpus)
     assert not report.passed
     report = check_axiom(
@@ -119,7 +124,7 @@ def test_absolute_vs_relative_component_fairness(corpus):
     assert report.passed
     report = check_axiom(
         "relative-component-surplus-fairness",
-        graph_subject(ext, benchmark=ZERO_GRAPH),
+        graph_subject(ext, benchmark=ZERO),
         corpus,
     )
     assert report.passed
@@ -197,3 +202,11 @@ def test_cohesive_efficiency_finds_best_partition_once_per_game(op, monkeypatch)
     report = check_axiom("cohesive-efficiency", operator_subject(op), corpus)
     assert report.passed and report.cases > 0
     assert calls and max(Counter(calls).values()) == 1
+
+
+def test_corpus_samples_partitions_of_twelve_players_quickly():
+    t0 = time.monotonic()
+    corpus = Corpus.build(sizes=(12,), per_size=1)
+    assert time.monotonic() - t0 < 1.0
+    # the random game and the structured game, 15 partitions each
+    assert sum(1 for v, _ in corpus.partitioned if v.n == 12) == 2 * 15

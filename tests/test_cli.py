@@ -2,13 +2,12 @@ import json
 
 import pytest
 
-from tugx.cli import _named_value_solution, main
-from tugx.coalition import named_partition_solution
-from tugx.comm import empty_graph, named_graph_solution
+from tugx.cli import main
+from tugx.comm import empty_graph
 from tugx.errors import UnknownName
 from tugx.games import Game
 from tugx.io import render_game_text
-from tugx.solutions import named_solution
+from tugx.operators import named_graph_solution, named_partition_solution, named_solution
 
 
 def run(capsys, *argv):
@@ -80,8 +79,9 @@ def test_solve_with_operator_shows_surplus(capsys, fixture_dir):
     assert code == 2 and "--benchmark" in err
     code, _, err = run(capsys, "solve", duo, "-s", "shapley", "-f", "myerson")
     assert code == 2 and "--operator" in err
+    # ps serves graph benchmarks too; trio's singleton total is 0
     code, _, err = run(capsys, "solve", trio, "--operator", "ps", "-f", "myerson")
-    assert code == 2 and "no graph operator" in err
+    assert code == 2 and "positive singleton total" in err
 
 
 def test_solve_error_statuses(capsys, fixture_dir, tmp_path):
@@ -171,7 +171,7 @@ def test_deep_names_exit_2(capsys, fixture_dir):
         named_solution,
         named_graph_solution,
         named_partition_solution,
-        lambda name: _named_value_solution(name, None),
+        lambda name: named_solution(name, None),
     ):
         with pytest.raises(UnknownName):
             lookup(deep)
@@ -335,3 +335,51 @@ def test_oracle_matches(capsys, tmp_path, fixture_dir):
     code, _, err = run(capsys, "oracle", str(fixture_dir / "duo.json"),
                        "--name", "fairness-induction")
     assert code == 2 and "graph" in err
+
+
+def test_non_finite_or_negative_tol_exits_2(capsys, fixture_dir):
+    trio = str(fixture_dir / "trio.json")
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run(
+            capsys, "check", str(fixture_dir), "--suite", "surplus-values", f"--tol={tol}"
+        )
+        assert code == 2 and out == "" and "tolerance" in err
+        code, out, err = run(capsys, "oracle", trio, "--name", "shapley-perm", f"--tol={tol}")
+        assert code == 2 and out == "" and "tolerance" in err
+
+
+def test_operators_nest_over_every_structure(capsys, fixture_dir):
+    trio = str(fixture_dir / "trio.json")
+    code, out, _ = run(capsys, "solve", trio, "-s", "ess[myerson]")
+    assert code == 0
+    assert json.loads(out)["payoffs"]["3"] == pytest.approx(2 / 3, abs=1e-9)
+    code, out, _ = run(
+        capsys,
+        "check",
+        "gen:n=3,count=2,seed=3",
+        "--axiom",
+        "efficiency",
+        "--target",
+        "ess",
+        "--kind",
+        "graph-operator",
+    )
+    assert code == 0 and "[PASS] efficiency :: ess" in out
+
+
+def test_benchmark_reading_another_structure_exits_2(capsys):
+    # a graph benchmark in a plain-game pool would only ever be skipped
+    code, out, err = run(
+        capsys,
+        "check",
+        "gen:n=3,count=2,seed=3",
+        "--axiom",
+        "efficiency",
+        "--target",
+        "ess",
+        "--kind",
+        "operator",
+        "--pool",
+        "standalone,myerson",
+    )
+    assert code == 2 and out == "" and "'myerson' reads a graph" in err

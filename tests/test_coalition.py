@@ -5,24 +5,25 @@ from hypothesis import given, strategies as st
 
 from tugx.coalition import (
     AUMANN_DREZE,
-    EE_AUMANN_DREZE,
-    ZERO_PARTITION,
-    PartitionSolution,
+    PARTITION,
     aumann_dreze,
     block_of,
     cycle_balance_residual,
     extend_with_null,
-    freeze_partition_solution,
     make_partition,
-    named_partition_solution,
-    partition_ess_solution,
     remove_player,
     solve_by_cycle_balance_induction,
     split_off,
 )
 from tugx.errors import DomainViolation, InconsistentSystem, UnknownName
 from tugx.games import DEFAULT_TOL, Game, iter_set_partitions, random_game
-from tugx.solutions import Allocation, allocations_close
+from tugx.operators import (
+    EE_AUMANN_DREZE,
+    PARTITION_ESS_OPERATOR,
+    named_partition_solution,
+    wrap,
+)
+from tugx.solutions import ZERO, Allocation, Solution, allocations_close, freeze_solution
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -125,7 +126,7 @@ def test_singleton_residual_needs_no_evaluation(trio, pair_block):
         calls.append(1)
         return Allocation(v.players, (0.0,) * v.n)
 
-    sol = PartitionSolution("loud", "test", loud)
+    sol = Solution("loud", "test", loud, reads=PARTITION)
     assert cycle_balance_residual(sol, trio, pair_block, frozenset({3})) == 0.0
     assert not calls
 
@@ -134,8 +135,8 @@ def test_singleton_residual_needs_no_evaluation(trio, pair_block):
 def test_cycle_induction_matches_extension(seed, n):
     players = tuple(range(1, n + 1))
     v = random_game(players, seed=seed)
-    for F in (AUMANN_DREZE, ZERO_PARTITION):
-        ext = partition_ess_solution(F)
+    for F in (AUMANN_DREZE, ZERO):
+        ext = wrap(PARTITION_ESS_OPERATOR, F)
         for P in iter_set_partitions(players):
             got = solve_by_cycle_balance_induction(F, v, P)
             assert allocations_close(got, ext(v, P), DEFAULT_TOL)
@@ -150,7 +151,7 @@ def test_cycle_induction_rejects_unbalanced_benchmark():
             vals[min(block)] = v.value(block)
         return Allocation(v.players, tuple(vals[p] for p in v.players))
 
-    greedy = PartitionSolution("lowest-takes-all", "test", lowest_takes_all)
+    greedy = Solution("lowest-takes-all", "test", lowest_takes_all, reads=PARTITION)
     v = random_game((1, 2, 3), seed=12)
     P = (frozenset({1, 2, 3}),)
     with pytest.raises(InconsistentSystem):
@@ -163,14 +164,14 @@ def test_cycle_induction_pair_blocks_always_consistent():
     def skew(v, P):
         return Allocation(v.players, tuple(float(k) for k in range(v.n)))
 
-    sol = PartitionSolution("skew", "test", skew)
+    sol = Solution("skew", "test", skew, reads=PARTITION)
     v = random_game((1, 2), seed=5)
     out = solve_by_cycle_balance_induction(sol, v, (frozenset({1, 2}),))
     assert DEFAULT_TOL.eq(out.total(), v.grand)
 
 
 def test_freeze_partition_solution(trio, pair_block, duo):
-    frozen = freeze_partition_solution(AUMANN_DREZE, trio, pair_block)
+    frozen = freeze_solution(AUMANN_DREZE, trio, pair_block)
     assert frozen(trio, pair_block)[1] == 0.5
     with pytest.raises(DomainViolation):
         frozen(duo, (frozenset({1, 2}),))

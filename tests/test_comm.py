@@ -6,25 +6,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tugx.comm import (
-    EE_MYERSON,
     MYERSON_SOLUTION,
-    ZERO_GRAPH,
     Graph,
     all_graphs,
     complete_graph,
     component_surplus_share,
     components,
     empty_graph,
-    freeze_graph_solution,
-    graph_ess_solution,
     myerson,
-    named_graph_solution,
     restricted_game,
     solve_by_fairness_induction,
 )
 from tugx.errors import DomainViolation, InconsistentSystem, UnknownName
 from tugx.games import DEFAULT_TOL, PROFILES, Game, random_game
-from tugx.solutions import Allocation, allocations_close
+from tugx.operators import EE_MYERSON, GRAPH_ESS_OPERATOR, named_graph_solution, wrap
+from tugx.solutions import ZERO, Allocation, allocations_close, freeze_solution
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -102,7 +98,7 @@ def test_component_surplus_share(trio, pair_link):
 
 
 def test_graph_ess_solution(trio, pair_link):
-    ext = graph_ess_solution(ZERO_GRAPH)
+    ext = wrap(GRAPH_ESS_OPERATOR, ZERO)
     assert ext.name == "graph-ess[zero]"
     assert ext(trio, pair_link).values == (1.0, 1.0, 1.0)
 
@@ -111,8 +107,8 @@ def test_graph_ess_solution(trio, pair_link):
 def test_fairness_induction_matches_extension(seed, n):
     players = tuple(range(1, n + 1))
     v = random_game(players, seed=seed)
-    for F in (MYERSON_SOLUTION, ZERO_GRAPH):
-        ext = graph_ess_solution(F)
+    for F in (MYERSON_SOLUTION, ZERO):
+        ext = wrap(GRAPH_ESS_OPERATOR, F)
         cache = {}
         for g in all_graphs(players):
             got = solve_by_fairness_induction(F, v, g, cache=cache)
@@ -144,7 +140,7 @@ def test_fairness_induction_detects_doctored_cache(trio):
 
 
 def test_freeze_graph_solution(trio, pair_link, duo):
-    frozen = freeze_graph_solution(MYERSON_SOLUTION, trio, pair_link)
+    frozen = freeze_solution(MYERSON_SOLUTION, trio, pair_link)
     assert frozen(trio, complete_graph(trio.players)).total() == pytest.approx(3.0)
     with pytest.raises(DomainViolation):
         frozen(duo, Graph.from_pairs(duo.players, [(1, 2)]))

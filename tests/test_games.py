@@ -17,6 +17,7 @@ from tugx.games import (
     marginal_contribution,
     permute_game,
     random_game,
+    sample_set_partitions,
     subgame,
     unanimity_game,
 )
@@ -147,6 +148,26 @@ def test_tolerance_comparison():
     assert tol.eq(1e12, 1e12 * (1 + 1e-10))
     assert EXACT.eq(0.5, 0.5)
     assert not EXACT.eq(0.5, 0.5 + 1e-16)
+
+
+def test_tolerance_rejects_non_finite_or_negative():
+    for eps in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            Tolerance(abs_eps=eps)
+        with pytest.raises(ValueError):
+            Tolerance(rel_eps=eps)
+
+
+@pytest.mark.parametrize("k", [1, 15])
+def test_sampled_partitions_match_listed_sample(k):
+    for n in range(1, 9):
+        items = tuple(range(3, 3 + n))
+        listed = list(iter_set_partitions(items))
+        for seed in range(6):
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            want = ref_rng.sample(listed, k) if len(listed) > k else listed
+            assert sample_set_partitions(items, k, rng) == want
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def _reference_subgame_worths(v, coalition):

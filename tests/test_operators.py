@@ -3,7 +3,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tugx.axioms import Corpus, check_axiom, operator_subject
+from tugx.axioms import (
+    Corpus,
+    check_axiom,
+    graph_operator_subject,
+    operator_subject,
+    partition_operator_subject,
+)
+from tugx.coalition import AUMANN_DREZE, make_partition
+from tugx.comm import MYERSON_SOLUTION, Graph
 from tugx.errors import DomainViolation, UnknownName
 from tugx.games import DEFAULT_TOL, POSITIVE_SINGLETONS, PROFILES, Game, random_game
 from tugx.operators import (
@@ -21,6 +29,7 @@ from tugx.operators import (
     convex_weights,
     max_partition_value,
     named_operator,
+    named_solution,
     ratio_matched_game,
     surplus_matched_game,
     weighted_operator,
@@ -337,3 +346,42 @@ def test_anchored_operator_reruns_benchmark_at_an_equal_game():
     got = anchored_ess_operator(anchor)(STAND_ALONE, v)
     want = _per_level_anchored(apply_ess_operator, anchor)(STAND_ALONE, v)
     assert [x.hex() for x in got.values] == [x.hex() for x in want.values]
+
+
+def test_one_ess_operator_serves_every_structure():
+    players = (1, 2, 3, 4, 5)
+    g = Graph.from_pairs(players, [(1, 2), (2, 3), (4, 5)])
+    P = make_partition([[1, 3], [2, 4, 5]], players)
+    for seed in range(5):
+        v = random_game(players, seed=seed)
+        for name, s in (("myerson", g), ("aumann-dreze", P)):
+            family = "graph" if s is g else "partition"
+            got = named_solution(f"ess[{name}]")(v, s)
+            want = named_solution(f"{family}-ess[{name}]")(v, s)
+            assert [x.hex() for x in got.values] == [x.hex() for x in want.values]
+
+
+def test_ps_operator_over_graph_and_partition_benchmarks():
+    players = (1, 2, 3, 4)
+    g = Graph.from_pairs(players, [(1, 2), (3, 4)])
+    P = make_partition([[1, 2, 3], [4]], players)
+    for seed in range(5):
+        v = random_game(players, seed=seed, profile=POSITIVE_SINGLETONS)
+        for name, s in (("myerson", g), ("aumann-dreze", P)):
+            bench = named_solution(name)(v, s)
+            out = named_solution(f"ps[{name}]")(v, s)
+            assert DEFAULT_TOL.eq(out.total(), v.grand)
+            ratio = v.grand / bench.total()
+            for x, b in zip(out.values, bench.values):
+                assert DEFAULT_TOL.eq(x, b * ratio)
+
+
+def test_ps_operator_axioms_over_graphs_and_partitions():
+    corpus = Corpus.build(sizes=(2, 3, 4), per_size=3, seed=5, profile=POSITIVE_SINGLETONS)
+    for subject in (
+        graph_operator_subject(PS_OPERATOR, (MYERSON_SOLUTION,)),
+        partition_operator_subject(PS_OPERATOR, (AUMANN_DREZE,)),
+    ):
+        for axiom in ("efficiency", "operator-equal-treatment"):
+            report = check_axiom(axiom, subject, corpus)
+            assert report.passed and report.cases > 0, (subject.kind, axiom)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from tugx.errors import DomainViolation, UnknownName
 from tugx.games import DEFAULT_TOL, PROFILES, Game, random_game
+from tugx.operators import named_solution
 from tugx.solutions import (
     Allocation,
     EQUAL_DIVISION,
@@ -17,7 +18,6 @@ from tugx.solutions import (
     constant_solution,
     ess_value,
     lead_singleton_solution,
-    named_solution,
     ps_value,
     shapley,
     shapley_permutation_oracle,
