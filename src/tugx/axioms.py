@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import attrgetter
-from typing import Any, Callable, Generator, Iterable, Iterator
+from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple
 
 from .coalition import (
     AUMANN_DREZE,
@@ -76,8 +76,11 @@ from .solutions import (
     Allocation,
     EQUAL_DIVISION,
     ESS_VALUE,
+    GRAND_WORTH,
+    NO_WORTHS,
     PS_VALUE,
     SHAPLEY,
+    SINGLETON_WORTHS,
     STAND_ALONE,
     ZERO,
     Solution,
@@ -88,14 +91,17 @@ from .solutions import (
 
 EXACT = Tolerance(0.0, 0.0)
 
-SUBJECT_KINDS = (
-    "value",
-    "graph",
-    "partition",
-    "operator",
-    "graph-operator",
-    "partition-operator",
-)
+# Every subject kind as reports and the command line spell it: the structure
+# its inputs carry, and whether its target is an operator.
+SUBJECT_KINDS: dict[str, tuple[Structure | None, bool]] = {
+    "value": (None, False),
+    "graph": (GRAPH, False),
+    "partition": (PARTITION, False),
+    "operator": (None, True),
+    "graph-operator": (GRAPH, True),
+    "partition-operator": (PARTITION, True),
+}
+_KIND_OF = {shape: kind for kind, shape in SUBJECT_KINDS.items()}
 
 DEFAULT_BENCHMARKS = (STAND_ALONE, EQUAL_DIVISION, SHAPLEY, constant_solution(1.5))
 # Benchmark pools of operator subjects, by the structure their inputs carry.
@@ -147,11 +153,8 @@ class Subject:
 
     @property
     def kind(self) -> str:
-        """One of SUBJECT_KINDS, as reports and the command line spell it."""
-        base = self.structure.name if self.structure else ""
-        if self.is_operator:
-            return f"{base}-operator" if base else "operator"
-        return base or "value"
+        """The subject's name in SUBJECT_KINDS."""
+        return _KIND_OF[(self.structure, self.is_operator)]
 
 
 def value_subject(target: Solution, benchmark: Solution | None = None) -> Subject:
@@ -471,9 +474,8 @@ def _invariance_partners(f, v: Game, i: int) -> list[Game]:
     partners = []
     if v.n >= 3:
         partners.append(permute_game(v, _rotation_fixing(v.players, i)))
-    kind = getattr(f, "kind", "")
     others = [p for p in v.players if p != i]
-    if kind == "stand-alone":
+    if f.worths == SINGLETON_WORTHS:
         if v.n >= 3:
             a, b = others[0], others[1]
             w = _edited_game(v, v.bit(a), -0.25)
@@ -481,7 +483,7 @@ def _invariance_partners(f, v: Game, i: int) -> list[Game]:
             partners.append(_edited_game(w, w.mask_of((a, b)), 0.5))
         w = _edited_game(v, v.bit(others[0]), 0.5)
         partners.append(_edited_game(w, w.full_mask, 0.5))
-    if kind in ("equal-division", "constant", "zero"):
+    if f.worths in (GRAND_WORTH, NO_WORTHS):
         partners.append(_edited_game(v, v.bit(others[0]), 0.5))
     partners.append(_scaled_game(v))
     return partners
@@ -785,16 +787,15 @@ def _op_weak_equal_surplus(subject, corpus, tol):
 # ---------------------------------------------------------------------------
 # dispatch
 
-_VALUE = ("value",)
-_GRAPH = ("graph",)
-_PART = ("partition",)
-_OPS = ("operator", "graph-operator", "partition-operator")
+_VALUE, _GRAPH, _PART = ((_KIND_OF[s, False],) for s in (None, GRAPH, PARTITION))
+_OPS = tuple(_KIND_OF[s, True] for s in (None, GRAPH, PARTITION))
+_PLAIN = (*_VALUE, _KIND_OF[None, True])  # rules and operators on plain games
 
 # The *-at-game forms share their base checks' equations: a subject whose
 # domain pins the game is skipped, not failed, off that domain.
 _CHECKERS: dict[str, tuple[tuple[str, ...], Callable[..., _Checker], dict]] = {
-    "efficiency": (SUBJECT_KINDS, _totals, {"target": attrgetter("grand")}),
-    "cohesive-efficiency": (("value", "operator"), _totals, {"target": _best_worth}),
+    "efficiency": (tuple(SUBJECT_KINDS), _totals, {"target": attrgetter("grand")}),
+    "cohesive-efficiency": (_PLAIN, _totals, {"target": _best_worth}),
     "symmetry": (_VALUE, _symmetry, {}),
     "equal-treatment": (_VALUE, _equal_treatment, {}),
     "equal-surplus-invariance": (_VALUE, _invariance, {}),
@@ -873,29 +874,110 @@ def _fa_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
                 yield None if fair else _witness(v, level, link=list(link))
 
 
-def _rbcc_preservation(corpus: Corpus, tol: Tolerance, ext: Solution) -> _Checker:
-    """The extension's removal-cycle residual equals the benchmark's."""
+_AD_EXTENSION = wrap(PARTITION_ESS_OPERATOR, AUMANN_DREZE)
+
+
+def _rbcc_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
+    """The partition extension's removal-cycle residual equals Aumann-Dreze's."""
     for v, P in corpus.partitioned:
         if v.n > 4:
             continue
         for block in P:
             for order in _cycle_orders(block):
                 r0 = cycle_balance_residual(AUMANN_DREZE, v, P, block, order)
-                r1 = cycle_balance_residual(ext, v, P, block, order)
+                r1 = cycle_balance_residual(_AD_EXTENSION, v, P, block, order)
                 yield None if tol.eq(r1, r0) else _witness(
                     v, P, order=list(order), lhs=r1, rhs=r0
                 )
 
 
-THEOREM_SUITES = (
-    "surplus-values",
-    "surplus-operators",
-    "network-extension",
-    "network-operators",
-    "partition-extension",
-    "partition-operators",
-    "cohesive-operators",
-)
+class _Preserved(NamedTuple):
+    """A suite row that drives a checker of its own over (corpus, tol)."""
+
+    axiom: str
+    subject: str
+    checker: Callable[[Corpus, Tolerance], _Checker]
+    note: str
+
+
+def _relative_rows(op: Operator, axiom: str) -> tuple:
+    """The relative check of op's extension of each default benchmark."""
+    return tuple((value_subject(wrap(op, F), F), (axiom,)) for F in DEFAULT_POOLS[op.reads])
+
+
+_VALUE_AXIOMS = ("efficiency", "equal-treatment")
+_OPERATOR_AXIOMS = ("efficiency", "operator-equal-treatment")
+_COHESIVE_AXIOMS = ("cohesive-efficiency", "operator-equal-treatment")
+
+# Each suite's rows in report order: (subject, axioms) checks the axioms on
+# the subject in turn; a _Preserved row drives its own checker.
+_SUITES: dict[str, tuple] = {
+    "surplus-values": (
+        (value_subject(ESS_VALUE, STAND_ALONE), (*_VALUE_AXIOMS, "equal-surplus-invariance")),
+        (value_subject(PS_VALUE, STAND_ALONE), (*_VALUE_AXIOMS, "equal-ratio-invariance")),
+    ),
+    "surplus-operators": tuple(
+        (operator_subject(op), (*_OPERATOR_AXIOMS, "operator-equal-surplus"))
+        for op in (ESS_OPERATOR, PS_OPERATOR)
+    ),
+    "network-extension": (
+        (
+            value_subject(EE_MYERSON, MYERSON_SOLUTION),
+            ("efficiency", "link-fairness", "relative-component-surplus-fairness"),
+        ),
+    ),
+    "network-operators": (
+        (
+            graph_operator_subject(GRAPH_ESS_OPERATOR),
+            (*_OPERATOR_AXIOMS, "operator-weak-equal-surplus"),
+        ),
+        *_relative_rows(GRAPH_ESS_OPERATOR, "relative-component-surplus-fairness"),
+        _Preserved(
+            "link-fairness-at-game",
+            "graph-ess[frozen[myerson]]",
+            _fa_preservation,
+            "fairness preserved on subgraph families",
+        ),
+    ),
+    "partition-extension": (
+        (
+            value_subject(EE_AUMANN_DREZE, AUMANN_DREZE),
+            (
+                "efficiency",
+                "cyclic-removal-balance",
+                "null-player-gap",
+                "relative-block-surplus-fairness",
+            ),
+        ),
+    ),
+    "partition-operators": (
+        (
+            partition_operator_subject(PARTITION_ESS_OPERATOR),
+            (*_OPERATOR_AXIOMS, "operator-weak-equal-surplus"),
+        ),
+        *_relative_rows(PARTITION_ESS_OPERATOR, "relative-block-surplus-fairness"),
+        _Preserved(
+            "cyclic-removal-balance-at-game",
+            _AD_EXTENSION.name,
+            _rbcc_preservation,
+            "residuals preserved under the extension",
+        ),
+    ),
+    "cohesive-operators": (
+        (operator_subject(COHESIVE_ESS_OPERATOR), _COHESIVE_AXIOMS),
+        (
+            value_subject(wrap(COHESIVE_ESS_OPERATOR, STAND_ALONE), STAND_ALONE),
+            ("equal-cohesive-surplus-invariance",),
+        ),
+        (operator_subject(COHESIVE_PS_OPERATOR), _COHESIVE_AXIOMS),
+        (
+            value_subject(wrap(COHESIVE_PS_OPERATOR, STAND_ALONE), STAND_ALONE),
+            ("equal-cohesive-ratio-invariance",),
+        ),
+    ),
+}
+
+THEOREM_SUITES = tuple(_SUITES)
 
 
 def check_theorem_suite(
@@ -906,98 +988,16 @@ def check_theorem_suite(
     Only the axiom directions are machine-checked; uniqueness arguments rely
     on richness of the game space and are out of scope here.
     """
+    try:
+        rows = _SUITES[suite]
+    except KeyError:
+        raise UnknownName(f"unknown theorem suite {suite!r}") from None
     reports: list[AxiomReport] = []
-    if suite == "surplus-values":
-        for sol, inv in ((ESS_VALUE, "equal-surplus-invariance"), (PS_VALUE, "equal-ratio-invariance")):
-            reports.append(check_axiom("efficiency", value_subject(sol), corpus, tol))
-            reports.append(
-                check_axiom("equal-treatment", value_subject(sol), corpus, tol)
-            )
-            reports.append(
-                check_axiom(inv, value_subject(sol, benchmark=STAND_ALONE), corpus, tol)
-            )
-    elif suite == "surplus-operators":
-        for op in (ESS_OPERATOR, PS_OPERATOR):
-            sub = operator_subject(op)
-            reports.append(check_axiom("efficiency", sub, corpus, tol))
-            reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
-            reports.append(check_axiom("operator-equal-surplus", sub, corpus, tol))
-    elif suite == "network-extension":
-        sub = graph_subject(EE_MYERSON, benchmark=MYERSON_SOLUTION)
-        reports.append(check_axiom("efficiency", sub, corpus, tol))
-        reports.append(check_axiom("link-fairness", sub, corpus, tol))
-        reports.append(
-            check_axiom("relative-component-surplus-fairness", sub, corpus, tol)
-        )
-    elif suite == "network-operators":
-        sub = graph_operator_subject(GRAPH_ESS_OPERATOR)
-        reports.append(check_axiom("efficiency", sub, corpus, tol))
-        reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
-        reports.append(check_axiom("operator-weak-equal-surplus", sub, corpus, tol))
-        for F in DEFAULT_POOLS[GRAPH]:
-            reports.append(
-                check_axiom(
-                    "relative-component-surplus-fairness",
-                    graph_subject(wrap(GRAPH_ESS_OPERATOR, F), benchmark=F),
-                    corpus,
-                    tol,
-                )
-            )
-        reports.append(
-            _drive(
-                "link-fairness-at-game",
-                "graph-ess[frozen[myerson]]",
-                _fa_preservation(corpus, tol),
-                "fairness preserved on subgraph families",
-            )
-        )
-    elif suite == "partition-extension":
-        sub = partition_subject(EE_AUMANN_DREZE, benchmark=AUMANN_DREZE)
-        reports.append(check_axiom("efficiency", sub, corpus, tol))
-        reports.append(check_axiom("cyclic-removal-balance", sub, corpus, tol))
-        reports.append(check_axiom("null-player-gap", sub, corpus, tol))
-        reports.append(
-            check_axiom("relative-block-surplus-fairness", sub, corpus, tol)
-        )
-    elif suite == "partition-operators":
-        sub = partition_operator_subject(PARTITION_ESS_OPERATOR)
-        reports.append(check_axiom("efficiency", sub, corpus, tol))
-        reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
-        reports.append(check_axiom("operator-weak-equal-surplus", sub, corpus, tol))
-        for F in DEFAULT_POOLS[PARTITION]:
-            reports.append(
-                check_axiom(
-                    "relative-block-surplus-fairness",
-                    partition_subject(wrap(PARTITION_ESS_OPERATOR, F), benchmark=F),
-                    corpus,
-                    tol,
-                )
-            )
-        ext = wrap(PARTITION_ESS_OPERATOR, AUMANN_DREZE)
-        reports.append(
-            _drive(
-                "cyclic-removal-balance-at-game",
-                ext.name,
-                _rbcc_preservation(corpus, tol, ext),
-                "residuals preserved under the extension",
-            )
-        )
-    elif suite == "cohesive-operators":
-        for op, inv in (
-            (COHESIVE_ESS_OPERATOR, "equal-cohesive-surplus-invariance"),
-            (COHESIVE_PS_OPERATOR, "equal-cohesive-ratio-invariance"),
-        ):
-            sub = operator_subject(op)
-            reports.append(check_axiom("cohesive-efficiency", sub, corpus, tol))
-            reports.append(check_axiom("operator-equal-treatment", sub, corpus, tol))
-            reports.append(
-                check_axiom(
-                    inv,
-                    value_subject(wrap(op, STAND_ALONE), benchmark=STAND_ALONE),
-                    corpus,
-                    tol,
-                )
-            )
-    else:
-        raise UnknownName(f"unknown theorem suite {suite!r}")
+    for row in rows:
+        if isinstance(row, _Preserved):
+            checker = row.checker(corpus, tol)
+            reports.append(_drive(row.axiom, row.subject, checker, row.note))
+        else:
+            subject, axioms = row
+            reports.extend(check_axiom(axiom, subject, corpus, tol) for axiom in axioms)
     return tuple(reports)

@@ -16,9 +16,9 @@ import random
 import sys
 from itertools import combinations
 
-from .axioms import DEFAULT_POOLS, Corpus, Subject, check_axiom, check_theorem_suite
-from .coalition import PARTITION, make_partition, solve_by_cycle_balance_induction
-from .comm import GRAPH, Graph, solve_by_fairness_induction
+from .axioms import DEFAULT_POOLS, SUBJECT_KINDS, Corpus, Subject, check_axiom, check_theorem_suite
+from .coalition import make_partition, solve_by_cycle_balance_induction
+from .comm import Graph, solve_by_fairness_induction
 from .errors import BadName, DomainViolation, MissingStructure, TugxError, UnknownName
 from .games import DEFAULT_TOL, GENERAL, PROFILES, Game, Tolerance, random_game
 from .io import GameFile, load_game_file, render_game_text, significant
@@ -34,18 +34,25 @@ from .operators import (
     named_solution,
     wrap,
 )
-from .solutions import allocations_close, shapley, shapley_permutation_oracle
+from .solutions import Allocation, allocations_close, shapley, shapley_permutation_oracle
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
+def _int(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{field}: {text!r} is not an integer") from None
+
+
+def _parse_sizes(text: str, field: str) -> tuple[int, ...]:
     sizes: list[int] = []
     for token in text.split(","):
         token = token.strip()
         if "-" in token:
             lo, hi = token.split("-", 1)
-            sizes.extend(range(int(lo), int(hi) + 1))
+            sizes.extend(range(_int(lo, field), _int(hi, field) + 1))
         else:
-            sizes.append(int(token))
+            sizes.append(_int(token, field))
     if not sizes:
         raise ValueError(f"no sizes in {text!r}")
     return tuple(sizes)
@@ -73,9 +80,9 @@ def _corpus_from_source(source: str) -> Corpus:
         if fields["profile"] not in PROFILES:
             raise ValueError(f"unknown profile {fields['profile']!r}")
         return Corpus.build(
-            sizes=_parse_sizes(fields["n"]),
-            per_size=_check_count(int(fields["count"])),
-            seed=int(fields["seed"]),
+            sizes=_parse_sizes(fields["n"], "corpus field n"),
+            per_size=_check_count(_int(fields["count"], "corpus field count")),
+            seed=_int(fields["seed"], "corpus field seed"),
             profile=fields["profile"],
         )
     if not os.path.isdir(source):
@@ -117,21 +124,16 @@ def _rule_or_operator(name: str, anchor: Game | None):
     raise UnknownName(f"no rule or operator named {name!r}")
 
 
-_STRUCTURES = {"graph": GRAPH, "partition": PARTITION}
-
-
 def _subject(args, anchor: Game | None) -> Subject:
     """--target read as --kind says, else as a rule or failing that an
     operator.  Inputs carry the structure --kind names, else the one the
     target reads."""
-    kind = args.kind or ""
-    if kind.endswith("operator"):
-        target = named_operator(args.target, anchor)
-    elif kind:
-        target = named_solution(args.target, anchor)
+    if args.kind:
+        structure, operator = SUBJECT_KINDS[args.kind]
+        target = (named_operator if operator else named_solution)(args.target, anchor)
     else:
         target = _rule_or_operator(args.target, anchor)
-    structure = _STRUCTURES.get(kind.split("-")[0]) if kind else target.reads
+        structure = target.reads
     benchmark = named_solution(args.benchmark, anchor) if args.benchmark else None
     if args.pool:
         pool = tuple(named_solution(n.strip(), anchor) for n in args.pool.split(","))
@@ -250,7 +252,7 @@ def _cmd_gen(args) -> int:
     _check_count(args.count)
     os.makedirs(args.outdir, exist_ok=True)
     count = 0
-    for n in _parse_sizes(args.sizes):
+    for n in _parse_sizes(args.sizes, "--sizes"):
         players = tuple(range(1, n + 1))
         for i in range(args.count):
             file_seed = args.seed * 1000003 + n * 1009 + i
@@ -271,42 +273,51 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _shapley_perm(gf: GameFile, args, tol: Tolerance) -> tuple:
+    return shapley(gf.game), shapley_permutation_oracle(gf.game)
+
+
+def _partition_brute(gf: GameFile, args, tol: Tolerance) -> tuple:
+    return max_partition_value(gf.game).value, brute_force_partition_value(gf.game)
+
+
+def _induction(lookup, default: str, op: Operator, solver, gf: GameFile, args, tol: Tolerance):
+    """An induction oracle: op, an ess operator that reads a structure, over
+    the benchmark -f names (default when absent), against the solver that
+    rebuilds that extension from its axioms."""
+    s = _structure(gf, op, args.name)
+    F = lookup(args.benchmark or default)
+    return wrap(op, F)(gf.game, *s), solver(F, gf.game, *s, tol=tol)
+
+
+# Each oracle: (game file, arguments, tolerance) -> (fast, reference), two
+# allocations or two worths.  Rows look their functions up when called, so a
+# wrapper installed over one after import, such as a tracer, sees the calls.
+_ORACLES = {
+    "shapley-perm": _shapley_perm,
+    "partition-brute": _partition_brute,
+    "fairness-induction": lambda *a: _induction(
+        named_graph_solution, "myerson", GRAPH_ESS_OPERATOR, solve_by_fairness_induction, *a
+    ),
+    "cycle-induction": lambda *a: _induction(
+        named_partition_solution,
+        "aumann-dreze",
+        PARTITION_ESS_OPERATOR,
+        solve_by_cycle_balance_induction,
+        *a,
+    ),
+}
+
+
 def _cmd_oracle(args) -> int:
     gf = load_game_file(args.game)
-    v = gf.game
     tol = _tol_from(args)
-    name = args.name
-    if name == "shapley-perm":
-        fast = shapley(v)
-        ref = shapley_permutation_oracle(v)
-        match = allocations_close(fast, ref, tol)
-        payload = {"fast": _payoff_dict(fast), "reference": _payoff_dict(ref)}
-    elif name == "partition-brute":
-        fast_value = max_partition_value(v).value
-        ref_value = brute_force_partition_value(v)
-        match = tol.eq(fast_value, ref_value)
-        payload = {"fast": significant(fast_value), "reference": significant(ref_value)}
-    elif name == "fairness-induction":
-        if gf.graph is None:
-            raise MissingStructure("fairness-induction needs a graph in the game file")
-        F = named_graph_solution(args.benchmark or "myerson")
-        fast = wrap(GRAPH_ESS_OPERATOR, F)(v, gf.graph)
-        ref = solve_by_fairness_induction(F, v, gf.graph, tol=tol)
-        match = allocations_close(fast, ref, tol)
-        payload = {"fast": _payoff_dict(fast), "reference": _payoff_dict(ref)}
-    elif name == "cycle-induction":
-        if gf.partition is None:
-            raise MissingStructure("cycle-induction needs a partition in the game file")
-        F = named_partition_solution(args.benchmark or "aumann-dreze")
-        fast = wrap(PARTITION_ESS_OPERATOR, F)(v, gf.partition)
-        ref = solve_by_cycle_balance_induction(F, v, gf.partition, tol=tol)
-        match = allocations_close(fast, ref, tol)
-        payload = {"fast": _payoff_dict(fast), "reference": _payoff_dict(ref)}
+    fast, ref = _ORACLES[args.name](gf, args, tol)
+    if isinstance(fast, Allocation):
+        match, show = allocations_close(fast, ref, tol), _payoff_dict
     else:
-        raise UnknownName(f"unknown oracle {name!r}")
-    payload["oracle"] = name
-    payload["match"] = match
-    _emit(payload)
+        match, show = tol.eq(fast, ref), significant
+    _emit({"oracle": args.name, "match": match, "fast": show(fast), "reference": show(ref)})
     return 0 if match else 1
 
 
@@ -350,16 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axiom", help="single axiom id to check")
     p.add_argument("--target", help="subject name for --axiom")
     p.add_argument(
-        "--kind",
-        choices=(
-            "value",
-            "graph",
-            "partition",
-            "operator",
-            "graph-operator",
-            "partition-operator",
-        ),
-        help="force how --target is interpreted",
+        "--kind", choices=tuple(SUBJECT_KINDS), help="force how --target is interpreted"
     )
     p.add_argument("--benchmark", help="benchmark name for relative axioms")
     p.add_argument("--pool", help="comma-separated benchmark pool for operators")
@@ -386,16 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="compare a fast path against a slow oracle")
     p.add_argument("game", help="path to a game .json file")
-    p.add_argument(
-        "--name",
-        required=True,
-        choices=(
-            "shapley-perm",
-            "partition-brute",
-            "fairness-induction",
-            "cycle-induction",
-        ),
-    )
+    p.add_argument("--name", required=True, choices=tuple(_ORACLES))
     p.add_argument(
         "-f",
         "--benchmark",

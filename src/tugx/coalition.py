@@ -55,9 +55,7 @@ def aumann_dreze(v: Game, P: Partition) -> Allocation:
 
 
 PARTITION = Structure("partition", lambda v, P: make_partition(P, v.players))
-AUMANN_DREZE = Solution(
-    "aumann-dreze", "blockwise-shapley", aumann_dreze, reads=PARTITION
-)
+AUMANN_DREZE = Solution("aumann-dreze", aumann_dreze, reads=PARTITION)
 
 PartitionBenchmark = Callable[[Game, Partition], Allocation]
 

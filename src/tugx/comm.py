@@ -201,7 +201,7 @@ def _aligned_graph(v: Game, g: Graph) -> Graph:
 
 
 GRAPH = Structure("graph", _aligned_graph)
-MYERSON_SOLUTION = Solution("myerson", "restricted-shapley", myerson, reads=GRAPH)
+MYERSON_SOLUTION = Solution("myerson", myerson, reads=GRAPH)
 
 GraphBenchmark = Callable[[Game, Graph], Allocation]
 

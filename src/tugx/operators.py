@@ -68,14 +68,15 @@ class Operator:
         return hash(self.name)
 
 
-def _ess_shares(out: Allocation, v: Game) -> Allocation:
-    share = (v.grand - math.fsum(out.values)) / v.n
+def _ess_shares(out: Allocation, v: Game, target: float) -> Allocation:
+    """Benchmark payoffs plus an equal share of the target worth they leave."""
+    share = (target - math.fsum(out.values)) / v.n
     return Allocation(v.players, tuple(x + share for x in out.values))
 
 
 def apply_ess_operator(f: Benchmark, v: Game, *structure: Any) -> Allocation:
     """Benchmark payoffs plus an equal share of the leftover surplus."""
-    return _ess_shares(f(v, *structure), v)
+    return _ess_shares(f(v, *structure), v, v.grand)
 
 
 def _positive_total(out: Allocation) -> float:
@@ -98,15 +99,16 @@ def _require_positive_singletons(v: Game) -> None:
         )
 
 
-def _ps_shares(out: Allocation, v: Game) -> Allocation:
+def _ps_shares(out: Allocation, v: Game, target: float) -> Allocation:
+    """The target worth split in proportion to the benchmark payoffs."""
     total = _positive_total(out)
-    return Allocation(v.players, tuple(x / total * v.grand for x in out.values))
+    return Allocation(v.players, tuple(x / total * target for x in out.values))
 
 
 def apply_ps_operator(f: Benchmark, v: Game, *structure: Any) -> Allocation:
     """Grand worth split in proportion to benchmark payoffs."""
     _require_positive_singletons(v)
-    return _ps_shares(f(v, *structure), v)
+    return _ps_shares(f(v, *structure), v, v.grand)
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def _anchored_operator(flavor: str, anchor: Game, shares, domain: str) -> Operat
         if domain == POSITIVE_GAMES:
             _require_positive_singletons(v)
         out = f(v, *structure)
-        base = shares(out, v)
+        base = shares(out, v, v.grand)
         at_anchor = out if v is anchor else f(anchor, *structure)
         mean = math.fsum(at_anchor.values) / v.n
         return Allocation(
@@ -286,18 +288,14 @@ def brute_force_partition_value(v: Game) -> float:
 def apply_cohesive_ess(f: Benchmark, v: Game, *structure: Any) -> Allocation:
     """Equal-surplus sharing aimed at the best partition worth."""
     target = max_partition_value(v).value
-    out = f(v, *structure)
-    share = (target - math.fsum(out.values)) / v.n
-    return Allocation(v.players, tuple(x + share for x in out.values))
+    return _ess_shares(f(v, *structure), v, target)
 
 
 def apply_cohesive_ps(f: Benchmark, v: Game, *structure: Any) -> Allocation:
     """Proportional sharing aimed at the best partition worth."""
     _require_positive_singletons(v)
     target = max_partition_value(v).value
-    out = f(v, *structure)
-    total = _positive_total(out)
-    return Allocation(v.players, tuple(x / total * target for x in out.values))
+    return _ps_shares(f(v, *structure), v, target)
 
 
 ESS_OPERATOR = Operator("ess", apply_ess_operator)
@@ -334,7 +332,6 @@ def wrap(op: Operator, f: Solution) -> Solution:
     )
     return Solution(
         f"{op.name}[{f.name}]",
-        "wrapped",
         lambda v, *structure: op(f, v, *structure),
         domain,
         op.reads or f.reads,
@@ -343,7 +340,7 @@ def wrap(op: Operator, f: Solution) -> Solution:
 
 def _extension(name: str, f: Solution) -> Solution:
     """The ess operator over f, under a name of its own."""
-    return replace(wrap(ESS_OPERATOR, f), name=name, kind="ess-extension")
+    return replace(wrap(ESS_OPERATOR, f), name=name)
 
 
 EE_MYERSON = _extension("ee-myerson", MYERSON_SOLUTION)

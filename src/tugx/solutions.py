@@ -21,6 +21,14 @@ from .games import DEFAULT_TOL, Game, Tolerance
 ALL_GAMES = "all"
 POSITIVE_GAMES = "positive-singleton-total"
 
+# Which worths a rule's payoffs read.  Axiom checks build partner games by
+# editing worths a benchmark does not read; a rule that declares none of the
+# narrower sets may read any worth.
+ALL_WORTHS = "all"
+SINGLETON_WORTHS = "singletons"
+GRAND_WORTH = "grand"
+NO_WORTHS = "none"
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -74,14 +82,15 @@ class Solution:
 
     ``reads`` is the structure the rule needs after the game, or None.  A
     rule that reads none ignores a structure passed to it, so every rule
-    can serve as a benchmark over graphs and partitions.
+    can serve as a benchmark over graphs and partitions.  ``worths`` says
+    which worths of the game the payoffs read.
     """
 
     name: str
-    kind: str
     func: Callable[..., Allocation] = field(repr=False)
     domain: str = ALL_GAMES
     reads: Structure | None = None
+    worths: str = ALL_WORTHS
 
     def __call__(self, v: Game, *structure: Any) -> Allocation:
         if self.reads is None:
@@ -186,12 +195,12 @@ def ps_value(v: Game) -> Allocation:
     )
 
 
-SHAPLEY = Solution("shapley", "shapley", shapley)
-STAND_ALONE = Solution("standalone", "stand-alone", stand_alone)
-EQUAL_DIVISION = Solution("equal-division", "equal-division", equal_division)
-ESS_VALUE = Solution("ess", "ess", ess_value)
-PS_VALUE = Solution("ps", "ps", ps_value, domain=POSITIVE_GAMES)
-ZERO = Solution("zero", "zero", lambda v: Allocation(v.players, (0.0,) * v.n))
+SHAPLEY = Solution("shapley", shapley)
+STAND_ALONE = Solution("standalone", stand_alone, worths=SINGLETON_WORTHS)
+EQUAL_DIVISION = Solution("equal-division", equal_division, worths=GRAND_WORTH)
+ESS_VALUE = Solution("ess", ess_value)
+PS_VALUE = Solution("ps", ps_value, domain=POSITIVE_GAMES)
+ZERO = Solution("zero", lambda v: Allocation(v.players, (0.0,) * v.n), worths=NO_WORTHS)
 
 
 def constant_solution(c: float) -> Solution:
@@ -203,7 +212,7 @@ def constant_solution(c: float) -> Solution:
     def func(v: Game) -> Allocation:
         return Allocation(v.players, (c,) * v.n)
 
-    return Solution(f"constant:{format(c, 'g')}", "constant", func)
+    return Solution(f"constant:{format(c, 'g')}", func, worths=NO_WORTHS)
 
 
 def lead_singleton_solution() -> Solution:
@@ -214,7 +223,7 @@ def lead_singleton_solution() -> Solution:
         vals[0] = v.worth[1]
         return Allocation(v.players, tuple(vals))
 
-    return Solution("lead-singleton", "lead-singleton", func)
+    return Solution("lead-singleton", func)
 
 
 def table_solution(name: str, entries: Mapping[Game, Allocation]) -> Solution:
@@ -227,7 +236,7 @@ def table_solution(name: str, entries: Mapping[Game, Allocation]) -> Solution:
         except KeyError:
             raise DomainViolation(f"{name!r} has no entry for this game") from None
 
-    return Solution(name, "table", func)
+    return Solution(name, func)
 
 
 def freeze_solution(F: Solution, v0: Game, s0: Any) -> Solution:
@@ -239,4 +248,4 @@ def freeze_solution(F: Solution, v0: Game, s0: Any) -> Solution:
             raise DomainViolation("input is outside the frozen cross domain")
         return F(v, s)
 
-    return Solution(f"frozen[{F.name}]", "frozen", func, reads=F.reads)
+    return Solution(f"frozen[{F.name}]", func, reads=F.reads)

@@ -189,6 +189,20 @@ def test_unknown_suite(corpus):
         check_theorem_suite("no-such-suite", corpus)
 
 
+def test_suite_rows_call_check_axiom_at_call_time(monkeypatch):
+    # the benchmark's tracer wraps axioms.check_axiom after import
+    corpus = Corpus.build(sizes=(2,), per_size=1, seed=1)
+    seen = []
+    real = axioms.check_axiom
+    monkeypatch.setattr(
+        axioms, "check_axiom", lambda axiom, *a: seen.append(axiom) or real(axiom, *a)
+    )
+    for suite in THEOREM_SUITES:
+        seen.clear()
+        reports = check_theorem_suite(suite, corpus)
+        assert seen == [r.axiom for r in reports if not r.axiom.endswith("-at-game")]
+
+
 @pytest.mark.parametrize("op", [COHESIVE_ESS_OPERATOR, COHESIVE_PS_OPERATOR])
 def test_cohesive_efficiency_finds_best_partition_once_per_game(op, monkeypatch):
     corpus = Corpus.build(sizes=(2, 3, 4, 5, 6), per_size=1, seed=1)

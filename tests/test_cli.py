@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tugx import cli
 from tugx.cli import main
 from tugx.comm import empty_graph
 from tugx.errors import UnknownName
@@ -332,9 +333,15 @@ def test_oracle_matches(capsys, tmp_path, fixture_dir):
         code, out, _ = run(capsys, "oracle", game, "--name", oracle)
         assert code == 0, oracle
         assert json.loads(out)["match"] is True
-    code, _, err = run(capsys, "oracle", str(fixture_dir / "duo.json"),
-                       "--name", "fairness-induction")
-    assert code == 2 and "graph" in err
+    duo, trio = str(fixture_dir / "duo.json"), str(fixture_dir / "trio.json")
+    for argv, message in (
+        ((duo, "--name", "fairness-induction"), "graph"),
+        ((duo, "--name", "cycle-induction"), "partition"),
+        ((trio, "--name", "cycle-induction", "-f", "myerson"), "reads a graph"),
+        ((trio, "--name", "fairness-induction", "-f", "aumann-dreze"), "reads a partition"),
+    ):
+        code, out, err = run(capsys, "oracle", *argv)
+        assert code == 2 and out == "" and message in err, argv
 
 
 def test_non_finite_or_negative_tol_exits_2(capsys, fixture_dir):
@@ -383,3 +390,32 @@ def test_benchmark_reading_another_structure_exits_2(capsys):
         "standalone,myerson",
     )
     assert code == 2 and out == "" and "'myerson' reads a graph" in err
+
+
+def test_bad_integer_names_field_and_text(capsys, tmp_path):
+    suite = ("--suite", "surplus-values")
+    cases = (
+        (("check", "gen:n=x", *suite), "corpus field n: 'x' is not an integer"),
+        (("check", "gen:n=2,count=z", *suite), "corpus field count: 'z' is not an integer"),
+        (("check", "gen:n=2,seed=x", *suite), "corpus field seed: 'x' is not an integer"),
+        (("gen", str(tmp_path), "--sizes", "2-x", "--seed", "1"), "--sizes: 'x' is not an integer"),
+    )
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
+
+
+
+def test_oracles_call_solvers_at_call_time(capsys, monkeypatch, fixture_dir):
+    # the benchmark's tracer wraps the solvers in tugx.cli after import
+    calls = []
+    for name in ("solve_by_fairness_induction", "solve_by_cycle_balance_induction"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
+        )
+    trio = str(fixture_dir / "trio.json")
+    for oracle in ("fairness-induction", "cycle-induction"):
+        code, out, _ = run(capsys, "oracle", trio, "--name", oracle)
+        assert code == 0 and json.loads(out)["match"] is True
+    assert calls == ["solve_by_fairness_induction", "solve_by_cycle_balance_induction"]

@@ -126,7 +126,7 @@ def test_singleton_residual_needs_no_evaluation(trio, pair_block):
         calls.append(1)
         return Allocation(v.players, (0.0,) * v.n)
 
-    sol = Solution("loud", "test", loud, reads=PARTITION)
+    sol = Solution("loud", loud, reads=PARTITION)
     assert cycle_balance_residual(sol, trio, pair_block, frozenset({3})) == 0.0
     assert not calls
 
@@ -151,7 +151,7 @@ def test_cycle_induction_rejects_unbalanced_benchmark():
             vals[min(block)] = v.value(block)
         return Allocation(v.players, tuple(vals[p] for p in v.players))
 
-    greedy = Solution("lowest-takes-all", "test", lowest_takes_all, reads=PARTITION)
+    greedy = Solution("lowest-takes-all", lowest_takes_all, reads=PARTITION)
     v = random_game((1, 2, 3), seed=12)
     P = (frozenset({1, 2, 3}),)
     with pytest.raises(InconsistentSystem):
@@ -164,7 +164,7 @@ def test_cycle_induction_pair_blocks_always_consistent():
     def skew(v, P):
         return Allocation(v.players, tuple(float(k) for k in range(v.n)))
 
-    sol = Solution("skew", "test", skew, reads=PARTITION)
+    sol = Solution("skew", skew, reads=PARTITION)
     v = random_game((1, 2), seed=5)
     out = solve_by_cycle_balance_induction(sol, v, (frozenset({1, 2}),))
     assert DEFAULT_TOL.eq(out.total(), v.grand)

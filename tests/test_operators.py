@@ -165,7 +165,7 @@ def test_nested_anchored_operators_call_benchmark_once_per_level(flavor, wide_ga
         other = random_game(players, seed=6, profile=POSITIVE_SINGLETONS)
     op, reference = make(anchor), _per_level_anchored(apply, anchor)
     calls = []
-    nested = Solution("shapley", "shapley", lambda v: calls.append(v) or shapley(v))
+    nested = Solution("shapley", lambda v: calls.append(v) or shapley(v))
     nested_ref = SHAPLEY
     for k in range(1, 9):
         nested = wrap(op, nested)

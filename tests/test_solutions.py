@@ -105,7 +105,7 @@ def test_table_solution(duo, trio):
 
 
 def test_solution_output_is_validated(duo):
-    bad = Solution("bad", "test", lambda v: Allocation((1, 3), (0.0, 0.0)))
+    bad = Solution("bad", lambda v: Allocation((1, 3), (0.0, 0.0)))
     with pytest.raises(ValueError):
         bad(duo)
 
