@@ -39,8 +39,7 @@ from .games import (
 from .solutions import (
     Allocation,
     EQUAL_DIVISION,
-    ESS_VALUE,
-    PS_VALUE,
+    LEAD_SINGLETON,
     SHAPLEY,
     STAND_ALONE,
     ZERO,
@@ -48,15 +47,10 @@ from .solutions import (
     Structure,
     allocations_close,
     constant_solution,
-    equal_division,
-    ess_value,
     freeze_solution,
-    lead_singleton_solution,
-    ps_value,
     shapley,
     shapley_permutation_oracle,
     singleton_total,
-    stand_alone,
     table_solution,
 )
 from .comm import (
@@ -92,15 +86,15 @@ from .operators import (
     EE_AUMANN_DREZE,
     EE_MYERSON,
     ESS_OPERATOR,
+    ESS_VALUE,
     GRAPH_ESS_OPERATOR,
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
+    PS_VALUE,
     Operator,
     WeightScheme,
     anchored_ess_operator,
     anchored_ps_operator,
-    apply_cohesive_ess,
-    apply_cohesive_ps,
     apply_ess_operator,
     apply_ps_operator,
     apply_weighted_operator,

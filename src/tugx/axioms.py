@@ -65,20 +65,20 @@ from .operators import (
     EE_AUMANN_DREZE,
     EE_MYERSON,
     ESS_OPERATOR,
+    ESS_VALUE,
     GRAPH_ESS_OPERATOR,
     Operator,
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
+    PS_VALUE,
     max_partition_value,
     wrap,
 )
 from .solutions import (
     Allocation,
     EQUAL_DIVISION,
-    ESS_VALUE,
     GRAND_WORTH,
     NO_WORTHS,
-    PS_VALUE,
     SHAPLEY,
     SINGLETON_WORTHS,
     STAND_ALONE,

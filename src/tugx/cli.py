@@ -20,7 +20,7 @@ from .axioms import DEFAULT_POOLS, SUBJECT_KINDS, Corpus, Subject, check_axiom, 
 from .coalition import make_partition, solve_by_cycle_balance_induction
 from .comm import Graph, solve_by_fairness_induction
 from .errors import BadName, DomainViolation, MissingStructure, TugxError, UnknownName
-from .games import DEFAULT_TOL, GENERAL, PROFILES, Game, Tolerance, random_game
+from .games import DEFAULT_TOL, GENERAL, MAX_PLAYERS, PROFILES, Game, Tolerance, random_game
 from .io import GameFile, load_game_file, render_game_text, significant
 from .operators import (
     GRAPH_ESS_OPERATOR,
@@ -233,7 +233,7 @@ def _cmd_check(args) -> int:
     for report in reports:
         print(report.line())
         if not report.passed and report.witness is not None:
-            print(json.dumps(report.witness, indent=2, sort_keys=True))
+            print(json.dumps(report.witness, indent=2, sort_keys=True, allow_nan=False))
     print(f"{len(reports)} checks, {failed} failed")
     return 1 if failed else 0
 
@@ -250,9 +250,15 @@ def _cmd_gen(args) -> int:
     if args.profile not in PROFILES:
         raise ValueError(f"unknown profile {args.profile!r}")
     _check_count(args.count)
+    sizes = _parse_sizes(args.sizes, "--sizes")
+    for n in sizes:
+        if n < 1:
+            raise ValueError("player set must be nonempty")
+        if n > MAX_PLAYERS:
+            raise ValueError(f"at most {MAX_PLAYERS} players supported, got {n}")
     os.makedirs(args.outdir, exist_ok=True)
     count = 0
-    for n in _parse_sizes(args.sizes, "--sizes"):
+    for n in sizes:
         players = tuple(range(1, n + 1))
         for i in range(args.count):
             file_seed = args.seed * 1000003 + n * 1009 + i

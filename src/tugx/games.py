@@ -28,7 +28,8 @@ _GRID = 64
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Mixed absolute/relative float comparison."""
+    """Mixed absolute/relative float comparison.  Numbers whose difference
+    is not finite (an infinity or a nan among them) are never equal."""
 
     abs_eps: float = 1e-9
     rel_eps: float = 1e-9
@@ -41,7 +42,8 @@ class Tolerance:
                 )
 
     def eq(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))
+        diff = abs(a - b)
+        return diff < math.inf and diff <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))
 
 
 DEFAULT_TOL = Tolerance()

@@ -9,8 +9,10 @@ that target the best partition worth instead of the grand worth.
 Every operator takes ``(f, v, *structure)`` and hands the structure to the
 benchmark f alone, so one operator serves plain games, communication graphs
 and coalition structures: the efficient extensions of the Myerson and
-Aumann-Dreze values are the ess operator over those benchmarks.  This module
-also resolves every rule name, ``op[inner]`` nesting included.
+Aumann-Dreze values are the ess operator over those benchmarks, and the equal
+surplus sharing and proportional sharing values are the ess and ps operators
+over the stand-alone worths.  This module also resolves every rule name,
+``op[inner]`` nesting included.
 """
 
 from __future__ import annotations
@@ -25,11 +27,8 @@ from .comm import GRAPH, MYERSON_SOLUTION
 from .errors import BadName, DomainViolation, UnknownName, check_name_depth
 from .games import DEFAULT_TOL, Game, Tolerance, iter_set_partitions
 from .solutions import (
-    ALL_GAMES,
     EQUAL_DIVISION,
-    ESS_VALUE,
-    POSITIVE_GAMES,
-    PS_VALUE,
+    LEAD_SINGLETON,
     SHAPLEY,
     STAND_ALONE,
     ZERO,
@@ -37,7 +36,6 @@ from .solutions import (
     Solution,
     Structure,
     constant_solution,
-    lead_singleton_solution,
     singleton_total,
 )
 
@@ -55,7 +53,6 @@ class Operator:
 
     name: str
     func: Callable[..., Allocation] = field(repr=False)
-    domain: str = ALL_GAMES
     reads: Structure | None = None
 
     def __call__(self, f: Benchmark, v: Game, *structure: Any) -> Allocation:
@@ -93,9 +90,10 @@ def _positive_total(out: Allocation) -> float:
 
 
 def _require_positive_singletons(v: Game) -> None:
-    if singleton_total(v) <= 0.0:
+    total = singleton_total(v)
+    if total <= 0.0:
         raise DomainViolation(
-            "proportional operator needs a positive singleton total"
+            f"proportional operator needs a positive singleton total, got {total}"
         )
 
 
@@ -177,7 +175,7 @@ def _game_digest(v: Game) -> str:
     return hashlib.sha1(raw).hexdigest()[:8]
 
 
-def _anchored_operator(flavor: str, anchor: Game, shares, domain: str) -> Operator:
+def _anchored_operator(flavor: str, anchor: Game, shares) -> Operator:
     """The flavor's sharing at v, shifted by the benchmark's offsets from
     their mean at the anchor.
 
@@ -190,7 +188,7 @@ def _anchored_operator(flavor: str, anchor: Game, shares, domain: str) -> Operat
     def func(f: Benchmark, v: Game, *structure: Any) -> Allocation:
         if v.players != anchor.players:
             raise DomainViolation("anchored operator needs the anchor's player set")
-        if domain == POSITIVE_GAMES:
+        if flavor == "ps":
             _require_positive_singletons(v)
         out = f(v, *structure)
         base = shares(out, v, v.grand)
@@ -201,7 +199,7 @@ def _anchored_operator(flavor: str, anchor: Game, shares, domain: str) -> Operat
             tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
         )
 
-    return Operator(f"anchored-{flavor}:{_game_digest(anchor)}", func, domain=domain)
+    return Operator(f"anchored-{flavor}:{_game_digest(anchor)}", func)
 
 
 def anchored_ess_operator(anchor: Game) -> Operator:
@@ -210,12 +208,12 @@ def anchored_ess_operator(anchor: Game) -> Operator:
     The offsets sum to zero, so the result stays efficient, yet payoffs now
     react to how the benchmark behaves away from the game being played.
     """
-    return _anchored_operator("ess", anchor, _ess_shares, ALL_GAMES)
+    return _anchored_operator("ess", anchor, _ess_shares)
 
 
 def anchored_ps_operator(anchor: Game) -> Operator:
     """Proportional sharing shifted by benchmark offsets at a fixed game."""
-    return _anchored_operator("ps", anchor, _ps_shares, POSITIVE_GAMES)
+    return _anchored_operator("ps", anchor, _ps_shares)
 
 
 class BestPartition(NamedTuple):
@@ -301,11 +299,9 @@ def apply_cohesive_ps(f: Benchmark, v: Game, *structure: Any) -> Allocation:
 ESS_OPERATOR = Operator("ess", apply_ess_operator)
 GRAPH_ESS_OPERATOR = Operator("graph-ess", apply_ess_operator, reads=GRAPH)
 PARTITION_ESS_OPERATOR = Operator("partition-ess", apply_ess_operator, reads=PARTITION)
-PS_OPERATOR = Operator("ps", apply_ps_operator, domain=POSITIVE_GAMES)
+PS_OPERATOR = Operator("ps", apply_ps_operator)
 COHESIVE_ESS_OPERATOR = Operator("cohesive-ess", apply_cohesive_ess)
-COHESIVE_PS_OPERATOR = Operator(
-    "cohesive-ps", apply_cohesive_ps, domain=POSITIVE_GAMES
-)
+COHESIVE_PS_OPERATOR = Operator("cohesive-ps", apply_cohesive_ps)
 
 
 def weighted_operator(alpha: float) -> Operator:
@@ -325,26 +321,22 @@ def wrap(op: Operator, f: Solution) -> Solution:
         raise ValueError(
             f"{op.name!r} reads a {op.reads.name}, {f.name!r} a {f.reads.name}"
         )
-    domain = (
-        POSITIVE_GAMES
-        if POSITIVE_GAMES in (op.domain, f.domain)
-        else ALL_GAMES
-    )
     return Solution(
         f"{op.name}[{f.name}]",
         lambda v, *structure: op(f, v, *structure),
-        domain,
-        op.reads or f.reads,
+        reads=op.reads or f.reads,
     )
 
 
-def _extension(name: str, f: Solution) -> Solution:
-    """The ess operator over f, under a name of its own."""
-    return replace(wrap(ESS_OPERATOR, f), name=name)
+def _extension(name: str, op: Operator, f: Solution) -> Solution:
+    """The operator over f, under a name of its own."""
+    return replace(wrap(op, f), name=name)
 
 
-EE_MYERSON = _extension("ee-myerson", MYERSON_SOLUTION)
-EE_AUMANN_DREZE = _extension("ee-aumann-dreze", AUMANN_DREZE)
+ESS_VALUE = _extension("ess", ESS_OPERATOR, STAND_ALONE)
+PS_VALUE = _extension("ps", PS_OPERATOR, STAND_ALONE)
+EE_MYERSON = _extension("ee-myerson", ESS_OPERATOR, MYERSON_SOLUTION)
+EE_AUMANN_DREZE = _extension("ee-aumann-dreze", ESS_OPERATOR, AUMANN_DREZE)
 
 
 def surplus_matched_game(f: Benchmark, v: Game, i: int) -> Game:
@@ -410,6 +402,7 @@ _SOLUTIONS: dict[str, Solution] = {
         ESS_VALUE,
         PS_VALUE,
         ZERO,
+        LEAD_SINGLETON,
         MYERSON_SOLUTION,
         EE_MYERSON,
         AUMANN_DREZE,
@@ -426,13 +419,11 @@ _ALIASES = {
 
 def named_solution(name: str, anchor: Game | None = None) -> Solution:
     """The one name resolver: base rules of every structure, constant:<c>,
-    lead-singleton, and op[inner] for any operator named_operator knows."""
+    and op[inner] for any operator named_operator knows."""
     check_name_depth(name)
     key = _ALIASES.get(name, name)
     if key in _SOLUTIONS:
         return _SOLUTIONS[key]
-    if key == "lead-singleton":
-        return lead_singleton_solution()
     if key.startswith("constant:"):
         try:
             return constant_solution(float(key.split(":", 1)[1]))

@@ -18,9 +18,6 @@ from typing import Any, Callable, Mapping, NamedTuple
 from .errors import DomainViolation, MissingStructure
 from .games import DEFAULT_TOL, Game, Tolerance
 
-ALL_GAMES = "all"
-POSITIVE_GAMES = "positive-singleton-total"
-
 # Which worths a rule's payoffs read.  Axiom checks build partner games by
 # editing worths a benchmark does not read; a rule that declares none of the
 # narrower sets may read any worth.
@@ -88,7 +85,6 @@ class Solution:
 
     name: str
     func: Callable[..., Allocation] = field(repr=False)
-    domain: str = ALL_GAMES
     reads: Structure | None = None
     worths: str = ALL_WORTHS
 
@@ -177,30 +173,14 @@ def equal_division(v: Game) -> Allocation:
     return Allocation(v.players, (share,) * v.n)
 
 
-def ess_value(v: Game) -> Allocation:
-    """Stand-alone worths plus an equal share of the leftover surplus."""
-    share = (v.grand - singleton_total(v)) / v.n
-    return Allocation(v.players, tuple(x + share for x in v.singleton_values()))
-
-
-def ps_value(v: Game) -> Allocation:
-    """Grand worth split in proportion to stand-alone worths."""
-    total = singleton_total(v)
-    if total <= 0.0:
-        raise DomainViolation(
-            f"proportional split needs a positive singleton total, got {total}"
-        )
-    return Allocation(
-        v.players, tuple(x / total * v.grand for x in v.singleton_values())
-    )
-
-
 SHAPLEY = Solution("shapley", shapley)
 STAND_ALONE = Solution("standalone", stand_alone, worths=SINGLETON_WORTHS)
 EQUAL_DIVISION = Solution("equal-division", equal_division, worths=GRAND_WORTH)
-ESS_VALUE = Solution("ess", ess_value)
-PS_VALUE = Solution("ps", ps_value, domain=POSITIVE_GAMES)
 ZERO = Solution("zero", lambda v: Allocation(v.players, (0.0,) * v.n), worths=NO_WORTHS)
+# The lowest-id player keeps their stand-alone worth; the rest get 0.
+LEAD_SINGLETON = Solution(
+    "lead-singleton", lambda v: Allocation(v.players, (v.worth[1],) + (0.0,) * (v.n - 1))
+)
 
 
 def constant_solution(c: float) -> Solution:
@@ -213,17 +193,6 @@ def constant_solution(c: float) -> Solution:
         return Allocation(v.players, (c,) * v.n)
 
     return Solution(f"constant:{format(c, 'g')}", func, worths=NO_WORTHS)
-
-
-def lead_singleton_solution() -> Solution:
-    """Lowest-id player keeps their stand-alone worth; the rest get 0."""
-
-    def func(v: Game) -> Allocation:
-        vals = [0.0] * v.n
-        vals[0] = v.worth[1]
-        return Allocation(v.players, tuple(vals))
-
-    return Solution("lead-singleton", func)
 
 
 def table_solution(name: str, entries: Mapping[Game, Allocation]) -> Solution:

@@ -43,9 +43,11 @@ from tugx.operators import (
     EE_AUMANN_DREZE,
     EE_MYERSON,
     ESS_OPERATOR,
+    ESS_VALUE,
     GRAPH_ESS_OPERATOR,
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
+    PS_VALUE,
     anchored_ess_operator,
     brute_force_partition_value,
     max_partition_value,
@@ -54,14 +56,12 @@ from tugx.operators import (
 )
 from tugx.solutions import (
     EQUAL_DIVISION,
+    LEAD_SINGLETON,
     SHAPLEY,
     STAND_ALONE,
     ZERO,
     allocations_close,
     constant_solution,
-    ess_value,
-    lead_singleton_solution,
-    ps_value,
     shapley,
     shapley_permutation_oracle,
 )
@@ -82,8 +82,8 @@ def _games(n: int, count: int, base_seed: int, profile: str = GENERAL):
 def test_closed_form_fixture_values(duo, trio, halves):
     t0 = time.monotonic()
     assert shapley(duo).values == (4.0, 2.0)
-    assert ess_value(duo).values == (4.0, 2.0)
-    assert ps_value(duo).values == (6.0, 0.0)
+    assert ESS_VALUE(duo).values == (4.0, 2.0)
+    assert PS_VALUE(duo).values == (6.0, 0.0)
     assert EQUAL_DIVISION(duo).values == (3.0, 3.0)
     assert weighted_operator(0.5)(STAND_ALONE, duo).values == (5.0, 1.0)
 
@@ -210,7 +210,7 @@ def test_anchored_operator_surplus_violation_reproduced(duo):
     t0 = time.monotonic()
     anchor2 = Game.from_table([1, 2], {(1,): 1.0, (2,): 3.0, (1, 2): 0.0})
     op2 = anchored_ess_operator(anchor2)
-    lead = lead_singleton_solution()
+    lead = LEAD_SINGLETON
     # stand-alone and lead-singleton agree on player 1's payoff and on the
     # total at the played game, yet the anchored outputs differ by -3/2
     diff = op2(STAND_ALONE, duo)[1] - op2(lead, duo)[1]

@@ -36,21 +36,21 @@ from tugx.operators import (
     EE_AUMANN_DREZE,
     EE_MYERSON,
     ESS_OPERATOR,
+    ESS_VALUE,
     GRAPH_ESS_OPERATOR,
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
+    PS_VALUE,
     anchored_ess_operator,
     wrap,
 )
 from tugx.solutions import (
     EQUAL_DIVISION,
-    ESS_VALUE,
-    PS_VALUE,
+    LEAD_SINGLETON,
     SHAPLEY,
     STAND_ALONE,
     ZERO,
     freeze_solution,
-    lead_singleton_solution,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "golden" / "axiom_reports.json"
@@ -78,10 +78,10 @@ def golden_reports() -> dict[str, dict]:
         ("cohesive-efficiency", value_subject(wrap(COHESIVE_ESS_OPERATOR, SHAPLEY)), general),
         ("cohesive-efficiency", value_subject(wrap(COHESIVE_PS_OPERATOR, SHAPLEY)), general),
         ("symmetry", value_subject(SHAPLEY), general),
-        ("symmetry", value_subject(lead_singleton_solution()), general),
+        ("symmetry", value_subject(LEAD_SINGLETON), general),
         ("symmetry", value_subject(PS_VALUE), general),
         ("equal-treatment", value_subject(SHAPLEY), general),
-        ("equal-treatment", value_subject(lead_singleton_solution()), general),
+        ("equal-treatment", value_subject(LEAD_SINGLETON), general),
         ("equal-surplus-invariance", value_subject(ESS_VALUE, STAND_ALONE), general),
         ("equal-surplus-invariance", value_subject(SHAPLEY, STAND_ALONE), general),
         ("equal-surplus-invariance", value_subject(wrap(ESS_OPERATOR, SHAPLEY), SHAPLEY), general),
@@ -135,7 +135,7 @@ def golden_reports() -> dict[str, dict]:
         ("operator-equal-surplus", operator_subject(anchored_ess_operator(anchor)), general),
         (
             "operator-equal-surplus",
-            operator_subject(anchored_ess_operator(anchor), (STAND_ALONE, lead_singleton_solution())),
+            operator_subject(anchored_ess_operator(anchor), (STAND_ALONE, LEAD_SINGLETON)),
             examples,
         ),
         ("operator-equal-surplus", graph_operator_subject(GRAPH_ESS_OPERATOR), general),

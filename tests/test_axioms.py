@@ -26,11 +26,13 @@ from tugx.operators import (
     EE_AUMANN_DREZE,
     EE_MYERSON,
     ESS_OPERATOR,
+    ESS_VALUE,
     GRAPH_ESS_OPERATOR,
+    PS_VALUE,
     max_partition_value,
     wrap,
 )
-from tugx.solutions import ESS_VALUE, PS_VALUE, SHAPLEY, STAND_ALONE, ZERO
+from tugx.solutions import SHAPLEY, STAND_ALONE, ZERO
 
 EXACT = Tolerance(0.0, 0.0)
 

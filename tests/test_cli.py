@@ -160,6 +160,22 @@ def test_non_finite_payoffs_exit_2(capsys, tmp_path):
         assert err.startswith("error: ")
 
 
+def test_check_with_non_finite_payoffs_exits_2(capsys, tmp_path):
+    # both ess payoffs are inf: v(N) - v({1}) = 1e308 + 1e308 overflows
+    corpus = tmp_path / "wide"
+    corpus.mkdir()
+    (corpus / "g.json").write_text(
+        render_game_text(Game.from_table([1, 2], {(1,): -1e308, (1, 2): 1e308}))
+    )
+    for mode in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "check", str(corpus), "--axiom", "efficiency", "--target", "ess", *mode
+        )
+        assert code == 2
+        assert "PASS" not in out and "Infinity" not in out and "NaN" not in out
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_deep_names_exit_2(capsys, fixture_dir):
     duo = str(fixture_dir / "duo.json")
     deep = "ess[" * 3000 + "shapley" + "]" * 3000
@@ -197,6 +213,20 @@ def test_count_below_one_is_rejected(capsys, tmp_path):
             capsys, "gen", str(outdir), "--count", count, "--seed", "1"
         )
         assert code == 2 and "count must be at least 1" in err
+        assert not outdir.exists()
+
+
+def test_gen_rejects_bad_sizes_before_writing(capsys, tmp_path):
+    outdir = tmp_path / "out"
+    for sizes, message in (
+        ("2-x", "'x' is not an integer"),
+        ("2,17", "at most 16 players supported, got 17"),
+        ("0", "player set must be nonempty"),
+    ):
+        code, out, err = run(
+            capsys, "gen", str(outdir), "--sizes", sizes, "--count", "2", "--seed", "1"
+        )
+        assert code == 2 and message in err and out == ""
         assert not outdir.exists()
 
 

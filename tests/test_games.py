@@ -150,6 +150,20 @@ def test_tolerance_comparison():
     assert not EXACT.eq(0.5, 0.5 + 1e-16)
 
 
+def test_tolerance_never_equates_a_non_finite_difference():
+    tol = Tolerance(abs_eps=1e-9, rel_eps=1e-9)
+    for a, b in (
+        (math.inf, 1e308),
+        (-1.0, -math.inf),
+        (math.inf, math.inf),
+        (math.nan, 0.0),
+        (math.nan, math.nan),
+        (1e308, -1e308),
+    ):
+        assert not tol.eq(a, b)
+        assert not tol.eq(b, a)
+
+
 def test_tolerance_rejects_non_finite_or_negative():
     for eps in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError):

@@ -18,7 +18,9 @@ from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
     ESS_OPERATOR,
+    ESS_VALUE,
     PS_OPERATOR,
+    PS_VALUE,
     WeightScheme,
     anchored_ess_operator,
     anchored_ps_operator,
@@ -37,12 +39,12 @@ from tugx.operators import (
 )
 from tugx.solutions import (
     EQUAL_DIVISION,
+    LEAD_SINGLETON,
     SHAPLEY,
     STAND_ALONE,
     Allocation,
     Solution,
     constant_solution,
-    lead_singleton_solution,
     shapley,
 )
 
@@ -54,6 +56,24 @@ def test_surplus_operator_values(duo):
     assert apply_ps_operator(STAND_ALONE, duo).values == (6.0, 0.0)
     out = apply_ess_operator(SHAPLEY, duo)
     assert out.values == (4.0, 2.0)
+
+
+def _payoff_bits(rule: Solution, v: Game):
+    """The payoffs as float.hex strings, or the domain violation's type."""
+    try:
+        return [x.hex() for x in rule(v).values]
+    except DomainViolation:
+        return DomainViolation
+
+
+def test_surplus_values_are_the_operators_over_standalone():
+    ess, ps = named_solution("ess[standalone]"), named_solution("ps[standalone]")
+    for profile in PROFILES:
+        for n in range(1, 9):
+            for seed in range(3):
+                v = random_game(tuple(range(1, n + 1)), seed=seed, profile=profile)
+                assert _payoff_bits(ESS_VALUE, v) == _payoff_bits(ess, v)
+                assert _payoff_bits(PS_VALUE, v) == _payoff_bits(ps, v)
 
 
 def test_ps_operator_domain(duo, trio):
@@ -109,7 +129,7 @@ def test_anchored_operator_witness(duo):
     anchor = Game.from_table([1, 2], {(1,): 1.0, (2,): 3.0, (1, 2): 0.0})
     op = anchored_ess_operator(anchor)
     at_standalone = op(STAND_ALONE, duo)
-    at_lead = op(lead_singleton_solution(), duo)
+    at_lead = op(LEAD_SINGLETON, duo)
     # both benchmarks agree on player 1's payoff and on the total at the
     # played game, yet the anchored payoffs differ by exactly -3/2
     assert at_standalone[1] == 3.0
@@ -294,6 +314,11 @@ def test_proportional_operators_reject_rounding_residue_total():
     assert report.verdict == "pass"
     assert report.cases == 0
     assert "skipped 1" in report.note
+    # the singleton total 64 is rounding residue next to worths of 1e17
+    w = Game((1, 2), (0.0, 1e17, -1e17 + 64, 5.0))
+    for ps in (PS_VALUE, named_solution("ps[standalone]")):
+        with pytest.raises(DomainViolation):
+            ps(w)
 
 
 def test_cohesive_operators(halves):
@@ -318,12 +343,13 @@ def test_matched_games_reproduce_operator_payoffs(duo):
     assert ratio.grand == 2.0 * apply_ps_operator(STAND_ALONE, duo)[1]
 
 
-def test_wrap_builds_named_solutions(duo):
+def test_wrap_builds_named_solutions(duo, trio):
     sol = wrap(ESS_OPERATOR, SHAPLEY)
     assert sol.name == "ess[shapley]"
     assert sol(duo).values == (4.0, 2.0)
     ps_wrapped = wrap(PS_OPERATOR, SHAPLEY)
-    assert ps_wrapped.domain == PS_OPERATOR.domain
+    with pytest.raises(DomainViolation):
+        ps_wrapped(trio)
 
 
 def test_named_operator(duo):

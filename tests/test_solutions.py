@@ -5,20 +5,16 @@ from hypothesis import given, strategies as st
 
 from tugx.errors import DomainViolation, UnknownName
 from tugx.games import DEFAULT_TOL, PROFILES, Game, random_game
-from tugx.operators import named_solution
+from tugx.operators import ESS_VALUE, PS_VALUE, named_solution
 from tugx.solutions import (
     Allocation,
     EQUAL_DIVISION,
-    ESS_VALUE,
-    PS_VALUE,
+    LEAD_SINGLETON,
     SHAPLEY,
     STAND_ALONE,
     Solution,
     allocations_close,
     constant_solution,
-    ess_value,
-    lead_singleton_solution,
-    ps_value,
     shapley,
     shapley_permutation_oracle,
     singleton_total,
@@ -74,18 +70,18 @@ def test_permutation_oracle_size_cap():
 
 
 def test_surplus_values(duo):
-    assert ess_value(duo).values == (4.0, 2.0)
-    assert ps_value(duo).values == (6.0, 0.0)
+    assert ESS_VALUE(duo).values == (4.0, 2.0)
+    assert PS_VALUE(duo).values == (6.0, 0.0)
     assert singleton_total(duo) == 2.0
 
 
 def test_proportional_split_domain(trio):
     # zero singleton total: no well-defined proportions
     with pytest.raises(DomainViolation):
-        ps_value(trio)
+        PS_VALUE(trio)
     neg = Game.from_table([1, 2], {(1,): -3.0, (2,): 1.0, (1, 2): 4.0})
     with pytest.raises(DomainViolation):
-        ps_value(neg)
+        PS_VALUE(neg)
 
 
 def test_simple_rules(duo, trio):
@@ -93,8 +89,8 @@ def test_simple_rules(duo, trio):
     assert EQUAL_DIVISION(duo).values == (3.0, 3.0)
     assert EQUAL_DIVISION(trio).values == (1.0, 1.0, 1.0)
     assert constant_solution(1.5)(trio).values == (1.5, 1.5, 1.5)
-    assert lead_singleton_solution()(duo).values == (2.0, 0.0)
-    assert lead_singleton_solution()(trio).values == (0.0, 0.0, 0.0)
+    assert LEAD_SINGLETON(duo).values == (2.0, 0.0)
+    assert LEAD_SINGLETON(trio).values == (0.0, 0.0, 0.0)
 
 
 def test_table_solution(duo, trio):
