@@ -92,14 +92,9 @@ from .operators import (
     PS_OPERATOR,
     PS_VALUE,
     Operator,
-    WeightScheme,
     anchored_ess_operator,
     anchored_ps_operator,
-    apply_ess_operator,
-    apply_ps_operator,
-    apply_weighted_operator,
     brute_force_partition_value,
-    convex_weights,
     max_partition_value,
     named_graph_solution,
     named_operator,

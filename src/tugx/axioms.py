@@ -71,7 +71,7 @@ from .operators import (
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
     PS_VALUE,
-    max_partition_value,
+    best_partition_worth,
     wrap,
 )
 from .solutions import (
@@ -386,10 +386,6 @@ def _pool(subject: Subject) -> tuple:
 # totals: efficiency flavors
 
 
-def _best_worth(v: Game) -> float:
-    return max_partition_value(v).value
-
-
 def _totals(subject, corpus, tol, target):
     """Payoff total against target(v) at every evaluation the subject allows:
     one per input for a rule, one per pool benchmark for an operator."""
@@ -517,8 +513,8 @@ def _invariance(subject, corpus, tol, cohesive=False, ratio=False):
                 gv, gw = v.grand, w.grand
                 if cohesive:
                     if best_v is None:
-                        best_v = max_partition_value(v).value
-                    gv, gw = best_v, max_partition_value(w).value
+                        best_v = best_partition_worth(v)
+                    gv, gw = best_v, best_partition_worth(w)
                     sv, sw = gv - tv, gw - tw
                 if ratio:
                     if tv != tw or gv != gw:
@@ -795,7 +791,7 @@ _PLAIN = (*_VALUE, _KIND_OF[None, True])  # rules and operators on plain games
 # domain pins the game is skipped, not failed, off that domain.
 _CHECKERS: dict[str, tuple[tuple[str, ...], Callable[..., _Checker], dict]] = {
     "efficiency": (tuple(SUBJECT_KINDS), _totals, {"target": attrgetter("grand")}),
-    "cohesive-efficiency": (_PLAIN, _totals, {"target": _best_worth}),
+    "cohesive-efficiency": (_PLAIN, _totals, {"target": best_partition_worth}),
     "symmetry": (_VALUE, _symmetry, {}),
     "equal-treatment": (_VALUE, _equal_treatment, {}),
     "equal-surplus-invariance": (_VALUE, _invariance, {}),

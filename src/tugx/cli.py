@@ -55,6 +55,11 @@ def _parse_sizes(text: str, field: str) -> tuple[int, ...]:
             sizes.append(_int(token, field))
     if not sizes:
         raise ValueError(f"no sizes in {text!r}")
+    for n in sizes:
+        if n < 1:
+            raise ValueError("player set must be nonempty")
+        if n > MAX_PLAYERS:
+            raise ValueError(f"at most {MAX_PLAYERS} players supported, got {n}")
     return tuple(sizes)
 
 
@@ -153,6 +158,19 @@ def _finite(x: float, what: str) -> float:
     return significant(x)
 
 
+def _witness_text(report) -> str | None:
+    """The report's witness as JSON text; a non-finite number in it is a
+    domain violation that names the check."""
+    if report.witness is None:
+        return None
+    try:
+        return json.dumps(report.witness, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DomainViolation(
+            f"{report.axiom} :: {report.subject}: the witness holds a non-finite number"
+        ) from None
+
+
 def _payoff_dict(alloc) -> dict:
     return {
         str(p): _finite(x, f"payoff of player {p}")
@@ -227,14 +245,19 @@ def _cmd_check(args) -> int:
     if not reports:
         raise ValueError("nothing to check: pass --suite and/or --axiom")
     failed = sum(1 for report in reports if not report.passed)
+    # Every witness is rendered before anything is printed, so a non-finite
+    # one ends the run with an empty stdout.
+    witnesses = [_witness_text(report) for report in reports]
     if args.json:
         _emit({"failed": failed, "reports": [r.to_dict() for r in reports]})
         return 1 if failed else 0
-    for report in reports:
-        print(report.line())
-        if not report.passed and report.witness is not None:
-            print(json.dumps(report.witness, indent=2, sort_keys=True, allow_nan=False))
-    print(f"{len(reports)} checks, {failed} failed")
+    lines = []
+    for report, witness in zip(reports, witnesses):
+        lines.append(report.line())
+        if witness is not None:  # only a failed report has one
+            lines.append(witness)
+    lines.append(f"{len(reports)} checks, {failed} failed")
+    print("\n".join(lines))
     return 1 if failed else 0
 
 
@@ -251,11 +274,6 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"unknown profile {args.profile!r}")
     _check_count(args.count)
     sizes = _parse_sizes(args.sizes, "--sizes")
-    for n in sizes:
-        if n < 1:
-            raise ValueError("player set must be nonempty")
-        if n > MAX_PLAYERS:
-            raise ValueError(f"at most {MAX_PLAYERS} players supported, got {n}")
     os.makedirs(args.outdir, exist_ok=True)
     count = 0
     for n in sizes:

@@ -1,10 +1,12 @@
 """Operators that turn a benchmark solution into an efficient one.
 
-The two basic constructions hand out the gap between the grand worth and the
-benchmark total: the ess flavor splits it equally, the ps flavor rescales the
-benchmark proportionally.  Variants here cover payoff-dependent weights,
-an anchor-game construction used as a counterexample, and cohesive versions
-that target the best partition worth instead of the grand worth.
+An operator is a sharing rule over a target worth: it hands the target out
+over the benchmark payoffs f(v).  The ess rule adds an equal share of what
+the payoffs leave, the ps rule rescales them proportionally, and the
+weighted rule blends the two with convex weights.  The target is the grand
+worth v(N), or for the cohesive operators the best partition worth.  The
+anchored operators, used as a counterexample, shift the ess or ps sharing
+by the benchmark's offsets at a fixed game.
 
 Every operator takes ``(f, v, *structure)`` and hands the structure to the
 benchmark f alone, so one operator serves plain games, communication graphs
@@ -25,7 +27,7 @@ from typing import Any, Callable, NamedTuple
 from .coalition import AUMANN_DREZE, PARTITION
 from .comm import GRAPH, MYERSON_SOLUTION
 from .errors import BadName, DomainViolation, UnknownName, check_name_depth
-from .games import DEFAULT_TOL, Game, Tolerance, iter_set_partitions
+from .games import DEFAULT_TOL, Game, iter_set_partitions
 from .solutions import (
     EQUAL_DIVISION,
     LEAD_SINGLETON,
@@ -71,22 +73,23 @@ def _ess_shares(out: Allocation, v: Game, target: float) -> Allocation:
     return Allocation(v.players, tuple(x + share for x in out.values))
 
 
-def apply_ess_operator(f: Benchmark, v: Game, *structure: Any) -> Allocation:
-    """Benchmark payoffs plus an equal share of the leftover surplus."""
-    return _ess_shares(f(v, *structure), v, v.grand)
-
-
-def _positive_total(out: Allocation) -> float:
-    """Benchmark total for proportional sharing.  A total within rounding of
-    zero, relative to the payoffs' magnitudes, counts as non-positive: the
-    rescaled payoffs would be rounding noise blown up to any size.
+def _divisor(out: Allocation, what: str, positive: bool = True) -> float:
+    """Benchmark total to divide by.  A total within rounding of zero,
+    relative to the payoffs' magnitudes, is refused (a negative one too when
+    positive): dividing by it would blow rounding noise up to any size.
     """
     total = math.fsum(out.values)
-    if total <= DEFAULT_TOL.rel_eps * math.fsum(map(abs, out.values)):
-        raise DomainViolation(
-            f"proportional operator needs a positive benchmark total, got {total}"
-        )
+    floor = DEFAULT_TOL.rel_eps * math.fsum(map(abs, out.values))
+    if (total if positive else abs(total)) <= floor:
+        need = "positive" if positive else "non-negligible"
+        raise DomainViolation(f"{what} needs a {need} benchmark total, got {total}")
     return total
+
+
+def _ps_shares(out: Allocation, v: Game, target: float) -> Allocation:
+    """The target worth split in proportion to the benchmark payoffs."""
+    total = _divisor(out, "proportional operator")
+    return Allocation(v.players, tuple(x / total * target for x in out.values))
 
 
 def _require_positive_singletons(v: Game) -> None:
@@ -97,77 +100,39 @@ def _require_positive_singletons(v: Game) -> None:
         )
 
 
-def _ps_shares(out: Allocation, v: Game, target: float) -> Allocation:
-    """The target worth split in proportion to the benchmark payoffs."""
-    total = _positive_total(out)
-    return Allocation(v.players, tuple(x / total * target for x in out.values))
+def _convex_shares(alpha: float) -> Callable[[Allocation, Game, float], Allocation]:
+    """Benchmark payoffs plus surplus shares weighted alpha/n + (1 - alpha)
+    x_i/total: equal weights blended with payoff-proportional ones."""
+
+    def shares(out: Allocation, v: Game, target: float) -> Allocation:
+        n = v.n
+        if alpha == 1.0:
+            weights = (1.0 / n,) * n
+        else:
+            total = _divisor(out, "payoff-proportional weighting", positive=False)
+            weights = tuple(alpha / n + (1.0 - alpha) * (p / total) for p in out.values)
+        surplus = target - math.fsum(out.values)
+        return Allocation(
+            v.players, tuple(x + w * surplus for x, w in zip(out.values, weights))
+        )
+
+    return shares
 
 
-def apply_ps_operator(f: Benchmark, v: Game, *structure: Any) -> Allocation:
-    """Grand worth split in proportion to benchmark payoffs."""
-    _require_positive_singletons(v)
-    return _ps_shares(f(v, *structure), v, v.grand)
+class Sharing(NamedTuple):
+    """How an operator hands a target worth out over the benchmark payoffs.
 
-
-@dataclass(frozen=True)
-class WeightScheme:
-    """Named map from a payoff vector to surplus weights."""
+    ``shares(out, v, target)`` gives the payoffs; ``check(v)``, when set, is
+    a domain test on the game that runs before the benchmark does.
+    """
 
     name: str
-    func: Callable[[tuple[float, ...]], tuple[float, ...]] = field(repr=False)
-
-    def __call__(self, payoffs: tuple[float, ...]) -> tuple[float, ...]:
-        return self.func(payoffs)
+    shares: Callable[[Allocation, Game, float], Allocation]
+    check: Callable[[Game], None] | None = None
 
 
-def convex_weights(alpha: float) -> WeightScheme:
-    """Blend equal weights with payoff-proportional weights."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"blend parameter must lie in [0, 1], got {alpha}")
-
-    def func(payoffs: tuple[float, ...]) -> tuple[float, ...]:
-        n = len(payoffs)
-        if alpha == 1.0:
-            return (1.0 / n,) * n
-        total = math.fsum(payoffs)
-        if total == 0.0:
-            raise DomainViolation(
-                "payoff-proportional weights are undefined at total payoff 0"
-            )
-        return tuple(alpha / n + (1.0 - alpha) * (p / total) for p in payoffs)
-
-    return WeightScheme(f"convex:{format(alpha, 'g')}", func)
-
-
-def apply_weighted_operator(
-    f: Benchmark,
-    scheme: WeightScheme,
-    v: Game,
-    *structure: Any,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Allocation:
-    """Benchmark payoffs plus scheme-weighted shares of the surplus.
-
-    The scheme must produce one weight per player, weights summing to one,
-    and equal weights for players with identical benchmark payoffs.
-    """
-    out = f(v, *structure)
-    weights = scheme(out.values)
-    if len(weights) != v.n:
-        raise ValueError(f"scheme {scheme.name!r} produced {len(weights)} weights")
-    if not tol.eq(math.fsum(weights), 1.0):
-        raise ValueError(f"scheme {scheme.name!r} weights do not sum to 1")
-    for a in range(v.n):
-        for b in range(a + 1, v.n):
-            if out.values[a] == out.values[b] and not tol.eq(weights[a], weights[b]):
-                raise ValueError(
-                    f"scheme {scheme.name!r} weighted equal payoffs unequally"
-                )
-    surplus = v.grand - math.fsum(out.values)
-    return Allocation(
-        v.players, tuple(x + w * surplus for x, w in zip(out.values, weights))
-    )
+_ESS = Sharing("ess", _ess_shares)
+_PS = Sharing("ps", _ps_shares, _require_positive_singletons)
 
 
 def _game_digest(v: Game) -> str:
@@ -175,9 +140,9 @@ def _game_digest(v: Game) -> str:
     return hashlib.sha1(raw).hexdigest()[:8]
 
 
-def _anchored_operator(flavor: str, anchor: Game, shares) -> Operator:
-    """The flavor's sharing at v, shifted by the benchmark's offsets from
-    their mean at the anchor.
+def _anchored_operator(sharing: Sharing, anchor: Game) -> Operator:
+    """The sharing of the grand worth at v, shifted by the benchmark's
+    offsets from their mean at the anchor.
 
     The benchmark runs once at v.  When v is the anchor object itself, that
     run is also the anchor's run: nested anchored operators pass their anchor
@@ -188,10 +153,10 @@ def _anchored_operator(flavor: str, anchor: Game, shares) -> Operator:
     def func(f: Benchmark, v: Game, *structure: Any) -> Allocation:
         if v.players != anchor.players:
             raise DomainViolation("anchored operator needs the anchor's player set")
-        if flavor == "ps":
-            _require_positive_singletons(v)
+        if sharing.check is not None:
+            sharing.check(v)
         out = f(v, *structure)
-        base = shares(out, v, v.grand)
+        base = sharing.shares(out, v, v.grand)
         at_anchor = out if v is anchor else f(anchor, *structure)
         mean = math.fsum(at_anchor.values) / v.n
         return Allocation(
@@ -199,7 +164,7 @@ def _anchored_operator(flavor: str, anchor: Game, shares) -> Operator:
             tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
         )
 
-    return Operator(f"anchored-{flavor}:{_game_digest(anchor)}", func)
+    return Operator(f"anchored-{sharing.name}:{_game_digest(anchor)}", func)
 
 
 def anchored_ess_operator(anchor: Game) -> Operator:
@@ -208,12 +173,12 @@ def anchored_ess_operator(anchor: Game) -> Operator:
     The offsets sum to zero, so the result stays efficient, yet payoffs now
     react to how the benchmark behaves away from the game being played.
     """
-    return _anchored_operator("ess", anchor, _ess_shares)
+    return _anchored_operator(_ESS, anchor)
 
 
 def anchored_ps_operator(anchor: Game) -> Operator:
     """Proportional sharing shifted by benchmark offsets at a fixed game."""
-    return _anchored_operator("ps", anchor, _ps_shares)
+    return _anchored_operator(_PS, anchor)
 
 
 class BestPartition(NamedTuple):
@@ -283,35 +248,48 @@ def brute_force_partition_value(v: Game) -> float:
     )
 
 
-def apply_cohesive_ess(f: Benchmark, v: Game, *structure: Any) -> Allocation:
-    """Equal-surplus sharing aimed at the best partition worth."""
-    target = max_partition_value(v).value
-    return _ess_shares(f(v, *structure), v, target)
+def best_partition_worth(v: Game) -> float:
+    """The cohesive target: the best total worth over all partitions."""
+    return max_partition_value(v).value
 
 
-def apply_cohesive_ps(f: Benchmark, v: Game, *structure: Any) -> Allocation:
-    """Proportional sharing aimed at the best partition worth."""
-    _require_positive_singletons(v)
-    target = max_partition_value(v).value
-    return _ps_shares(f(v, *structure), v, target)
+def _grand_worth(v: Game) -> float:
+    return v.grand
 
 
-ESS_OPERATOR = Operator("ess", apply_ess_operator)
-GRAPH_ESS_OPERATOR = Operator("graph-ess", apply_ess_operator, reads=GRAPH)
-PARTITION_ESS_OPERATOR = Operator("partition-ess", apply_ess_operator, reads=PARTITION)
-PS_OPERATOR = Operator("ps", apply_ps_operator)
-COHESIVE_ESS_OPERATOR = Operator("cohesive-ess", apply_cohesive_ess)
-COHESIVE_PS_OPERATOR = Operator("cohesive-ps", apply_cohesive_ps)
+def _operator(
+    name: str,
+    sharing: Sharing,
+    target: Callable[[Game], float],
+    reads: Structure | None = None,
+) -> Operator:
+    """The operator that hands out target(v) over the benchmark payoffs at v
+    by the sharing rule."""
+
+    def func(f: Benchmark, v: Game, *structure: Any) -> Allocation:
+        if sharing.check is not None:
+            sharing.check(v)
+        goal = target(v)
+        return sharing.shares(f(v, *structure), v, goal)
+
+    return Operator(name, func, reads)
+
+
+ESS_OPERATOR = _operator("ess", _ESS, _grand_worth)
+GRAPH_ESS_OPERATOR = _operator("graph-ess", _ESS, _grand_worth, GRAPH)
+PARTITION_ESS_OPERATOR = _operator("partition-ess", _ESS, _grand_worth, PARTITION)
+PS_OPERATOR = _operator("ps", _PS, _grand_worth)
+COHESIVE_ESS_OPERATOR = _operator("cohesive-ess", _ESS, best_partition_worth)
+COHESIVE_PS_OPERATOR = _operator("cohesive-ps", _PS, best_partition_worth)
 
 
 def weighted_operator(alpha: float) -> Operator:
     """Surplus sharing with convex equal/proportional weights."""
-    scheme = convex_weights(alpha)
-
-    def func(f: Benchmark, v: Game, *structure: Any) -> Allocation:
-        return apply_weighted_operator(f, scheme, v, *structure)
-
-    return Operator(f"weighted:{format(float(alpha), 'g')}", func)
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"blend parameter must lie in [0, 1], got {alpha}")
+    name = f"weighted:{format(alpha, 'g')}"
+    return _operator(name, Sharing(name, _convex_shares(alpha)), _grand_worth)
 
 
 def wrap(op: Operator, f: Solution) -> Solution:
@@ -343,7 +321,7 @@ def surplus_matched_game(f: Benchmark, v: Game, i: int) -> Game:
     """Game whose equal split of the grand worth matches player i's payoff
     under the equal-surplus operator over f at v.  All other worths are 0.
     """
-    out = apply_ess_operator(f, v)
+    out = ESS_OPERATOR(f, v)
     worth = [0.0] * (1 << v.n)
     worth[-1] = v.n * out[i]
     return Game(v.players, tuple(worth))
@@ -354,7 +332,7 @@ def ratio_matched_game(f: Benchmark, v: Game, i: int) -> Game:
     the proportional operator over f at v.  Singleton worths are copied from
     v so the game stays inside the positive-singleton-total domain.
     """
-    out = apply_ps_operator(f, v)
+    out = PS_OPERATOR(f, v)
     worth = [0.0] * (1 << v.n)
     for k in range(v.n):
         worth[1 << k] = v.worth[1 << k]

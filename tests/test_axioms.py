@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from tugx import axioms
+from tugx import axioms, operators
 from tugx.axioms import (
     ALL_AXIOMS,
     Corpus,
@@ -28,6 +28,7 @@ from tugx.operators import (
     ESS_OPERATOR,
     ESS_VALUE,
     GRAPH_ESS_OPERATOR,
+    Operator,
     PS_VALUE,
     max_partition_value,
     wrap,
@@ -208,14 +209,24 @@ def test_suite_rows_call_check_axiom_at_call_time(monkeypatch):
 @pytest.mark.parametrize("op", [COHESIVE_ESS_OPERATOR, COHESIVE_PS_OPERATOR])
 def test_cohesive_efficiency_finds_best_partition_once_per_game(op, monkeypatch):
     corpus = Corpus.build(sizes=(2, 3, 4, 5, 6), per_size=1, seed=1)
-    calls = []
+    calls, inside = [], []
 
     def counted(v):
-        calls.append(id(v))
+        # the checker's calls count, not those of the operator's own target
+        if not inside:
+            calls.append(id(v))
         return max_partition_value(v)
 
-    monkeypatch.setattr(axioms, "max_partition_value", counted)
-    report = check_axiom("cohesive-efficiency", operator_subject(op), corpus)
+    def marked(f, v, *structure):
+        inside.append(v)
+        try:
+            return op(f, v, *structure)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(operators, "max_partition_value", counted)
+    subject = operator_subject(Operator(op.name, marked))
+    report = check_axiom("cohesive-efficiency", subject, corpus)
     assert report.passed and report.cases > 0
     assert calls and max(Counter(calls).values()) == 1
 

@@ -176,6 +176,22 @@ def test_check_with_non_finite_payoffs_exits_2(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_check_prints_nothing_before_a_non_finite_witness(capsys, tmp_path):
+    # the efficiency witness holds the total inf; no report line may precede
+    # the error, and the error names the check
+    corpus = tmp_path / "wide"
+    corpus.mkdir()
+    (corpus / "g.json").write_text(
+        render_game_text(Game.from_table([1, 2], {(1,): -1e308, (1, 2): 1e308}))
+    )
+    for mode in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "check", str(corpus), "--axiom", "efficiency", "--target", "ess", *mode
+        )
+        assert code == 2 and out == ""
+        assert "efficiency :: ess" in err and "non-finite" in err
+
+
 def test_deep_names_exit_2(capsys, fixture_dir):
     duo = str(fixture_dir / "duo.json")
     deep = "ess[" * 3000 + "shapley" + "]" * 3000
@@ -228,6 +244,21 @@ def test_gen_rejects_bad_sizes_before_writing(capsys, tmp_path):
         )
         assert code == 2 and message in err and out == ""
         assert not outdir.exists()
+
+
+def test_check_rejects_bad_corpus_sizes_before_building_games(capsys, monkeypatch):
+    def sentinel(self):
+        raise AssertionError(f"built a game of {len(self.players)} players")
+
+    monkeypatch.setattr(Game, "__post_init__", sentinel)
+    for sizes, message in (
+        ("17", "at most 16 players supported, got 17"),
+        ("0-2", "player set must be nonempty"),
+    ):
+        code, out, err = run(
+            capsys, "check", f"gen:n={sizes},count=1", "--suite", "surplus-values"
+        )
+        assert code == 2 and message in err and out == ""
 
 
 def test_usage_errors(capsys):
