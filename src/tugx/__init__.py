@@ -7,6 +7,9 @@ coalition's surplus over arbitrary benchmark rules, communication-graph and
 coalition-structure generalizations, cohesive variants that target the best
 partition value, and a harness that machine-checks the defining properties
 on generated corpora.
+
+The ``tugx`` logger is silent unless configured; at DEBUG it reports, for
+each axiom check, the kernel results reused and recomputed.
 """
 
 from .errors import (

@@ -23,7 +23,8 @@ note of a report with no cases.  The driver, ``_drive``, is the one place
 that counts cases and skips, stops at the first failure, writes the note and
 builds the ``AxiomReport``.  ``check_axiom`` finds a property in the
 catalogue ``_CHECKERS`` as (subject kinds, checker, params), so the flavours
-of one property share a checker.
+of one property share a checker.  While ``_drive`` runs, kernel results are
+reused across evaluations (see ``memo``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .games import (
     sample_set_partitions,
     unanimity_game,
 )
+from . import memo
 from .io import game_payload
 from .operators import (
     COHESIVE_ESS_OPERATOR,
@@ -314,24 +316,25 @@ def _drive(axiom: str, subject: str, checker: _Checker, note: str = "") -> Axiom
     cases = skipped = 0
     witness = None
     sent = None
-    while True:
-        try:
-            item = checker.send(sent)
-        except StopIteration as stop:
-            if cases == 0 and stop.value:
-                note = stop.value
-            break
-        if callable(item):
+    with memo.scope(f"{axiom} :: {subject}"):
+        while True:
             try:
-                sent = item()
-            except (DomainViolation, MissingStructure):
-                skipped += 1
-                sent = _SKIPPED
-        else:
-            cases += 1
-            if item is not None:
-                witness = item
+                item = checker.send(sent)
+            except StopIteration as stop:
+                if cases == 0 and stop.value:
+                    note = stop.value
                 break
+            if callable(item):
+                try:
+                    sent = item()
+                except (DomainViolation, MissingStructure):
+                    skipped += 1
+                    sent = _SKIPPED
+            else:
+                cases += 1
+                if item is not None:
+                    witness = item
+                    break
     bits = [note] if note and witness is None else []
     if cases == 0:
         bits.append("vacuous: no applicable cases")
@@ -388,7 +391,9 @@ def _pool(subject: Subject) -> tuple:
 
 def _totals(subject, corpus, tol, target):
     """Payoff total against target(v) at every evaluation the subject allows:
-    one per input for a rule, one per pool benchmark for an operator."""
+    one per input for a rule, one per pool benchmark for an operator.  The
+    tolerance scales with the payoffs' magnitudes too, as summing payoffs
+    that cancel leaves rounding of their size, not of the total's."""
     rule = subject.target
     pool = subject.pool if subject.is_operator else (None,)
     for args in _ITEMS[subject.structure](corpus):
@@ -399,7 +404,8 @@ def _totals(subject, corpus, tol, target):
                 continue
             got = out.total()
             extra = {} if f is None else {"benchmark": _name(f)}
-            yield None if tol.eq(got, want) else _witness(
+            scale = math.fsum(map(abs, out.values))
+            yield None if tol.eq(got, want, scale) else _witness(
                 *args, **extra, total=got, required=want
             )
 
@@ -500,8 +506,6 @@ def _invariance(subject, corpus, tol, cohesive=False, ratio=False):
     phi = subject.target
     f = _benchmark(subject)
     for v in corpus.games:
-        # The best-partition worth of v, computed on first use.
-        best_v = None
         for i in v.players:
             for w in _invariance_partners(f, v, i):
                 stats = yield lambda: (_surplus_stats(f, v), _surplus_stats(f, w))
@@ -512,9 +516,7 @@ def _invariance(subject, corpus, tol, cohesive=False, ratio=False):
                     continue
                 gv, gw = v.grand, w.grand
                 if cohesive:
-                    if best_v is None:
-                        best_v = best_partition_worth(v)
-                    gv, gw = best_v, best_partition_worth(w)
+                    gv, gw = best_partition_worth(v), best_partition_worth(w)
                     sv, sw = gv - tv, gw - tw
                 if ratio:
                     if tv != tw or gv != gw:

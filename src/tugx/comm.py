@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import DomainViolation, InconsistentSystem
 from .games import DEFAULT_TOL, Game, Tolerance
+from .memo import reuse
 from .solutions import Allocation, Solution, Structure, shapley
 
 Link = tuple[int, int]
@@ -129,6 +130,7 @@ def components(g: Graph, coalition: Iterable[int] | None = None) -> tuple[frozen
     return tuple(out)
 
 
+@reuse
 def restricted_game(v: Game, g: Graph) -> Game:
     """Each coalition earns the sum of its connected parts' worths.
 

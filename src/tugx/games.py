@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from .memo import reuse
+
 MAX_PLAYERS = 16
 
 GENERAL = "general"
@@ -41,9 +43,12 @@ class Tolerance:
                     f"tolerance must be finite and nonnegative, got {eps}"
                 )
 
-    def eq(self, a: float, b: float) -> bool:
+    def eq(self, a: float, b: float, scale: float = 0.0) -> bool:
+        """Whether a and b agree; the relative bound scales with the larger
+        of |a|, |b| and scale (the magnitude of what a sum summed)."""
         diff = abs(a - b)
-        return diff < math.inf and diff <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))
+        bound = self.abs_eps + self.rel_eps * max(abs(a), abs(b), scale)
+        return diff < math.inf and diff <= bound
 
 
 DEFAULT_TOL = Tolerance()
@@ -205,16 +210,22 @@ def permute_game(v: Game, mapping: Mapping[int, int]) -> Game:
 
 
 def subgame(v: Game, coalition: Iterable[int]) -> Game:
-    """Restriction of the worth table to subsets of the given coalition.
+    """Restriction of the worth table to subsets of the given coalition."""
+    keep = v.mask_of(coalition)
+    if keep == 0:
+        raise ValueError("a subgame needs a nonempty coalition")
+    return _subgame(v, keep)
+
+
+@reuse
+def _subgame(v: Game, keep: int) -> Game:
+    """The subgame on a nonempty coalition mask.
 
     The parent mask of every sub-coalition is built by doubling: for each
     kept bit, in ascending order, the list so far is repeated with that bit
     set, so entry t holds the parent mask whose kept bits spell t.  The
     worths are gathered unchanged.
     """
-    keep = v.mask_of(coalition)
-    if keep == 0:
-        raise ValueError("a subgame needs a nonempty coalition")
     idx = [0]
     for k in range(v.n):
         if keep >> k & 1:

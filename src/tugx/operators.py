@@ -28,6 +28,7 @@ from .coalition import AUMANN_DREZE, PARTITION
 from .comm import GRAPH, MYERSON_SOLUTION
 from .errors import BadName, DomainViolation, UnknownName, check_name_depth
 from .games import DEFAULT_TOL, Game, iter_set_partitions
+from .memo import reuse
 from .solutions import (
     EQUAL_DIVISION,
     LEAD_SINGLETON,
@@ -248,6 +249,7 @@ def brute_force_partition_value(v: Game) -> float:
     )
 
 
+@reuse
 def best_partition_worth(v: Game) -> float:
     """The cohesive target: the best total worth over all partitions."""
     return max_partition_value(v).value
@@ -294,14 +296,16 @@ def weighted_operator(alpha: float) -> Operator:
 
 def wrap(op: Operator, f: Solution) -> Solution:
     """The operator applied to a fixed benchmark, packaged as a solution
-    that reads what the operator's name or the benchmark reads."""
+    that reads what the operator's name or the benchmark reads.  The
+    solution checks the structure, so the benchmark runs without its own
+    check."""
     if op.reads and f.reads and op.reads != f.reads:
         raise ValueError(
             f"{op.name!r} reads a {op.reads.name}, {f.name!r} a {f.reads.name}"
         )
     return Solution(
         f"{op.name}[{f.name}]",
-        lambda v, *structure: op(f, v, *structure),
+        lambda v, *structure: op(f.aligned, v, *structure),
         reads=op.reads or f.reads,
     )
 

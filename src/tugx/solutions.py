@@ -17,6 +17,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import DomainViolation, MissingStructure
 from .games import DEFAULT_TOL, Game, Tolerance
+from .memo import reuse
 
 # Which worths a rule's payoffs read.  Axiom checks build partner games by
 # editing worths a benchmark does not read; a rule that declares none of the
@@ -89,12 +90,16 @@ class Solution:
     worths: str = ALL_WORTHS
 
     def __call__(self, v: Game, *structure: Any) -> Allocation:
-        if self.reads is None:
-            out = self.func(v)
-        elif not structure:
-            raise MissingStructure(f"{self.name!r} needs a {self.reads.name}")
-        else:
-            out = self.func(v, self.reads.align(v, structure[0]))
+        if self.reads is not None:
+            if not structure:
+                raise MissingStructure(f"{self.name!r} needs a {self.reads.name}")
+            structure = (self.reads.align(v, structure[0]),)
+        return self.aligned(v, *structure)
+
+    def aligned(self, v: Game, *structure: Any) -> Allocation:
+        """The rule at a structure that ``reads.align`` already returned for
+        v, as a wrapping rule hands it on: the check is not run again."""
+        out = self.func(v) if self.reads is None else self.func(v, structure[0])
         if out.players != v.players:
             raise ValueError(f"solution {self.name!r} misaligned its payoff vector")
         return out
@@ -110,6 +115,7 @@ def singleton_total(v: Game) -> float:
     return math.fsum(v.singleton_values())
 
 
+@reuse
 def shapley(v: Game) -> Allocation:
     """Average marginal contribution over coalition sizes.
 
@@ -215,6 +221,6 @@ def freeze_solution(F: Solution, v0: Game, s0: Any) -> Solution:
     def func(v: Game, s: Any) -> Allocation:
         if v != v0 and s != s0:
             raise DomainViolation("input is outside the frozen cross domain")
-        return F(v, s)
+        return F.aligned(v, s)
 
     return Solution(f"frozen[{F.name}]", func, reads=F.reads)

@@ -1,3 +1,4 @@
+import math
 import time
 from collections import Counter
 
@@ -19,7 +20,7 @@ from tugx.axioms import (
 from tugx.coalition import AUMANN_DREZE
 from tugx.comm import MYERSON_SOLUTION
 from tugx.errors import IncompatibleSubject, UnknownName
-from tugx.games import POSITIVE_SINGLETONS, Tolerance, is_null_player
+from tugx.games import POSITIVE_SINGLETONS, Game, Tolerance, is_null_player
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
@@ -33,7 +34,7 @@ from tugx.operators import (
     max_partition_value,
     wrap,
 )
-from tugx.solutions import SHAPLEY, STAND_ALONE, ZERO
+from tugx.solutions import SHAPLEY, STAND_ALONE, ZERO, Allocation, Solution
 
 EXACT = Tolerance(0.0, 0.0)
 
@@ -113,6 +114,34 @@ def test_myerson_fails_plain_efficiency(corpus):
         "component-efficiency", graph_subject(MYERSON_SOLUTION), corpus
     )
     assert report.passed
+
+
+def _cancelling_game() -> Game:
+    # the singleton worths cancel, so payoff totals round at the payoffs' scale
+    return Game.from_table(
+        [1, 2, 3], {(1,): 1e11, (2,): -1e11 + 0.3, (3,): 3.7e10, (1, 2, 3): 1.0}
+    )
+
+
+def test_efficiency_tolerance_scales_with_the_payoffs():
+    v = _cancelling_game()
+    assert ESS_VALUE(v).total() == 0.9999923706054688
+    corpus = Corpus((v,))
+    assert check_axiom("efficiency", value_subject(ESS_VALUE), corpus).passed
+    report = check_axiom("efficiency", operator_subject(ESS_OPERATOR), corpus)
+    assert report.passed and report.cases == 4
+
+
+def test_efficiency_fails_a_miss_of_one_millionth_of_the_payoffs(corpus):
+    def off(v):
+        out = ESS_VALUE(v)
+        miss = 1e-6 * math.fsum(map(abs, out.values))
+        return Allocation(v.players, (out.values[0] + miss,) + out.values[1:])
+
+    subject = value_subject(Solution("off", off))
+    for games in ((_cancelling_game(),), corpus.games):
+        report = check_axiom("efficiency", subject, Corpus(games))
+        assert not report.passed and report.cases == 1
 
 
 def test_absolute_vs_relative_component_fairness(corpus):

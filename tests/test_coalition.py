@@ -186,3 +186,31 @@ def test_named_partition_solution(trio, pair_block):
     )
     with pytest.raises(UnknownName):
         named_partition_solution("nope")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["aumann-dreze", "ee-aumann-dreze", "partition-ess[partition-ess[aumann-dreze]]"],
+)
+def test_partition_checked_once_per_evaluation(name, monkeypatch):
+    from tugx import coalition
+    from tugx.operators import named_solution
+
+    v = random_game((1, 2, 3, 4), seed=1)
+    rule = named_solution(name)
+    calls = []
+    real = coalition.make_partition
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coalition, "make_partition", counted)
+    out = rule(v, [[3, 4], [1, 2]])
+    assert len(calls) == 1
+    assert out == rule(v, make_partition([[1, 2], [3, 4]], v.players))
+    # a malformed partition still fails the one check, with its own message
+    with pytest.raises(ValueError, match=r"blocks overlap at \[2\]"):
+        rule(v, [[1, 2], [2, 3, 4]])
+    with pytest.raises(ValueError, match="blocks must cover exactly the player set"):
+        rule(v, [[1, 2], [3]])
