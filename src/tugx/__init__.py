@@ -33,7 +33,6 @@ from .games import (
     are_symmetric,
     is_null_player,
     iter_set_partitions,
-    marginal_contribution,
     permute_game,
     random_game,
     subgame,
@@ -54,7 +53,6 @@ from .solutions import (
     shapley,
     shapley_permutation_oracle,
     singleton_total,
-    table_solution,
 )
 from .comm import (
     GRAPH,

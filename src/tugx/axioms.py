@@ -41,7 +41,7 @@ from .coalition import (
     PARTITION,
     Partition,
     block_of,
-    cycle_balance_residual,
+    cycle_balance_sides,
     split_off,
 )
 from .comm import GRAPH, MYERSON_SOLUTION, Graph, all_graphs, components
@@ -385,15 +385,22 @@ def _pool(subject: Subject) -> tuple:
     return subject.pool
 
 
+def _agree(tol: Tolerance, a: float, b: float, *outs: Allocation) -> bool:
+    """Whether two sums or differences of payoffs agree, to within rounding
+    of the payoffs they come from: the tolerance scales with the largest
+    ``fsum(|x_i|)`` over the allocations outs, since payoffs that cancel
+    leave rounding of their own size, not of the result's."""
+    scale = max(math.fsum(map(abs, out.values)) for out in outs)
+    return tol.eq(a, b, scale)
+
+
 # ---------------------------------------------------------------------------
 # totals: efficiency flavors
 
 
 def _totals(subject, corpus, tol, target):
     """Payoff total against target(v) at every evaluation the subject allows:
-    one per input for a rule, one per pool benchmark for an operator.  The
-    tolerance scales with the payoffs' magnitudes too, as summing payoffs
-    that cancel leaves rounding of their size, not of the total's."""
+    one per input for a rule, one per pool benchmark for an operator."""
     rule = subject.target
     pool = subject.pool if subject.is_operator else (None,)
     for args in _ITEMS[subject.structure](corpus):
@@ -404,8 +411,7 @@ def _totals(subject, corpus, tol, target):
                 continue
             got = out.total()
             extra = {} if f is None else {"benchmark": _name(f)}
-            scale = math.fsum(map(abs, out.values))
-            yield None if tol.eq(got, want, scale) else _witness(
+            yield None if _agree(tol, got, want, out) else _witness(
                 *args, **extra, total=got, required=want
             )
 
@@ -551,6 +557,7 @@ def _part_totals(subject, corpus, tol, share=None):
         if pair is _SKIPPED:
             continue
         out, bench = pair
+        outs = (out,) if bench is None else pair
         parts = components(s) if part == "component" else s
         if bench is not None:
             surplus = v.grand - math.fsum(bench.values)
@@ -565,7 +572,7 @@ def _part_totals(subject, corpus, tol, share=None):
                 want = math.fsum(bench[i] for i in members)
             if share is not None:
                 want += len(C) * surplus / v.n
-            yield None if tol.eq(got, want) else _witness(
+            yield None if _agree(tol, got, want, *outs) else _witness(
                 v, s, **{part: members}, total=got, required=want
             )
 
@@ -581,7 +588,7 @@ def _link_fairness(subject, corpus, tol):
             full, cut = pair
             da = full[a] - cut[a]
             db = full[b] - cut[b]
-            yield None if tol.eq(da, db) else _witness(
+            yield None if _agree(tol, da, db, full, cut) else _witness(
                 v, g, link=list(link), lhs=da, rhs=db
             )
 
@@ -601,7 +608,7 @@ def _split_off_balance(subject, corpus, tol):
                 base, no_j, no_i = outs
                 lhs = base[i] - no_j[i]
                 rhs = base[j] - no_i[j]
-                yield None if tol.eq(lhs, rhs) else _witness(
+                yield None if _agree(tol, lhs, rhs, *outs) else _witness(
                     v, P, players=[i, j], lhs=lhs, rhs=rhs
                 )
 
@@ -620,11 +627,12 @@ def _cyclic_removal_balance(subject, corpus, tol):
     for v, P in corpus.partitioned:
         for block in P:
             for order in _cycle_orders(block):
-                resid = yield lambda: cycle_balance_residual(phi, v, P, block, order)
-                if resid is _SKIPPED:
+                sides = yield lambda: cycle_balance_sides(phi, v, P, block, order)
+                if sides is _SKIPPED:
                     continue
-                yield None if tol.eq(resid, 0.0) else _witness(
-                    v, P, order=list(order), residual=resid
+                succ, pred, outs = sides
+                yield None if _agree(tol, succ, pred, *outs) else _witness(
+                    v, P, order=list(order), residual=succ - pred
                 )
 
 
@@ -643,7 +651,7 @@ def _null_player_gap(subject, corpus, tol):
             for a in sorted(block_of(P, j) - {j}):
                 lhs = out[a] - out[j]
                 rhs = bench[a] - bench[j]
-                yield None if tol.eq(lhs, rhs) else _witness(
+                yield None if _agree(tol, lhs, rhs, out, bench) else _witness(
                     v, P, null_player=j, player=a, lhs=lhs, rhs=rhs
                 )
 
@@ -868,7 +876,7 @@ def _fa_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
                 a, b = link
                 full = ext(v, level)
                 cut = ext(v, level.without(link))
-                fair = tol.eq(full[a] - cut[a], full[b] - cut[b])
+                fair = _agree(tol, full[a] - cut[a], full[b] - cut[b], full, cut)
                 yield None if fair else _witness(v, level, link=list(link))
 
 
@@ -882,9 +890,10 @@ def _rbcc_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
             continue
         for block in P:
             for order in _cycle_orders(block):
-                r0 = cycle_balance_residual(AUMANN_DREZE, v, P, block, order)
-                r1 = cycle_balance_residual(_AD_EXTENSION, v, P, block, order)
-                yield None if tol.eq(r1, r0) else _witness(
+                s0, p0, outs0 = cycle_balance_sides(AUMANN_DREZE, v, P, block, order)
+                s1, p1, outs1 = cycle_balance_sides(_AD_EXTENSION, v, P, block, order)
+                r0, r1 = s0 - p0, s1 - p1
+                yield None if _agree(tol, r1, r0, *outs0, *outs1) else _witness(
                     v, P, order=list(order), lhs=r1, rhs=r0
                 )
 

@@ -333,15 +333,35 @@ _ORACLES = {
 }
 
 
+def _gaps(pairs) -> dict:
+    """Largest absolute and relative gap over (fast, reference) pairs; the
+    relative gap divides by the larger magnitude of the pair."""
+    abs_gap = rel_gap = 0.0
+    for a, b in pairs:
+        gap = abs(a - b)
+        abs_gap = max(abs_gap, gap)
+        if gap:
+            rel_gap = max(rel_gap, gap / max(abs(a), abs(b)))
+    return {"max_abs_gap": significant(abs_gap), "max_rel_gap": significant(rel_gap)}
+
+
 def _cmd_oracle(args) -> int:
     gf = load_game_file(args.game)
     tol = _tol_from(args)
     fast, ref = _ORACLES[args.name](gf, args, tol)
     if isinstance(fast, Allocation):
         match, show = allocations_close(fast, ref, tol), _payoff_dict
+        pairs = zip(fast.values, ref.values)
     else:
         match, show = tol.eq(fast, ref), significant
-    _emit({"oracle": args.name, "match": match, "fast": show(fast), "reference": show(ref)})
+        pairs = [(fast, ref)]
+    _emit({
+        "oracle": args.name,
+        "match": match,
+        "fast": show(fast),
+        "reference": show(ref),
+        **_gaps(pairs),
+    })
     return 0 if match else 1
 
 

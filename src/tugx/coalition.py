@@ -105,18 +105,20 @@ def extend_with_null(
     return Game(players, tuple(worth)), make_partition(blocks, players), nid
 
 
-def cycle_balance_residual(
+def cycle_balance_sides(
     F: PartitionBenchmark,
     v: Game,
     P: Partition,
     block: Iterable[int],
     order: Sequence[int] | None = None,
-) -> float:
-    """Removal-cycle imbalance of F around a block, 0 when balanced.
+) -> tuple[float, float, tuple[Allocation, ...]]:
+    """The two sums of a removal cycle around a block, and the allocations
+    their terms come from.
 
-    Sums each member's payoff after their cyclic successor is removed, minus
-    the same with predecessors removed.  Single-member blocks are balanced
-    by definition and skip evaluation.
+    The first sum adds each member's payoff after their cyclic successor is
+    removed, the second the same with predecessors removed; F is balanced
+    around the block when they agree.  Single-member blocks are balanced by
+    definition and skip evaluation.
     """
     blk = frozenset(block)
     if blk not in set(P):
@@ -126,16 +128,31 @@ def cycle_balance_residual(
         raise ValueError("order must list each block member exactly once")
     k = len(cycle)
     if k == 1:
-        return 0.0
+        return 0.0, 0.0, ()
+    outs = []
     succ_terms = []
     pred_terms = []
     for l in range(k):
         keeper = cycle[l]
-        after_succ = remove_player(v, P, cycle[(l + 1) % k])
-        succ_terms.append(F(*after_succ)[keeper])
-        after_pred = remove_player(v, P, cycle[(l - 1) % k])
-        pred_terms.append(F(*after_pred)[keeper])
-    return math.fsum(succ_terms) - math.fsum(pred_terms)
+        after_succ = F(*remove_player(v, P, cycle[(l + 1) % k]))
+        succ_terms.append(after_succ[keeper])
+        after_pred = F(*remove_player(v, P, cycle[(l - 1) % k]))
+        pred_terms.append(after_pred[keeper])
+        outs += (after_succ, after_pred)
+    return math.fsum(succ_terms), math.fsum(pred_terms), tuple(outs)
+
+
+def cycle_balance_residual(
+    F: PartitionBenchmark,
+    v: Game,
+    P: Partition,
+    block: Iterable[int],
+    order: Sequence[int] | None = None,
+) -> float:
+    """Removal-cycle imbalance of F around a block, 0 when balanced: the
+    difference of the two sums of ``cycle_balance_sides``."""
+    succ, pred, _ = cycle_balance_sides(F, v, P, block, order)
+    return succ - pred
 
 
 def solve_by_cycle_balance_induction(

@@ -160,15 +160,6 @@ class Game:
         return cls(ps, tuple(worth))
 
 
-def marginal_contribution(v: Game, coalition: Iterable[int], i: int) -> float:
-    """``v(S) - v(S minus i)``; requires i to belong to the coalition."""
-    mask = v.mask_of(coalition)
-    b = v.bit(i)
-    if not mask & b:
-        raise ValueError(f"player {i} must belong to the coalition")
-    return v.worth[mask] - v.worth[mask ^ b]
-
-
 def are_symmetric(v: Game, i: int, j: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when i and j contribute equally to every coalition missing both."""
     bi, bj = v.bit(i), v.bit(j)

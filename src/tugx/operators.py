@@ -191,21 +191,63 @@ def _fill_best(
     mask: int, worth: tuple[float, ...], best: list[float], choice: list[int]
 ) -> None:
     """Best split of one mask: a block holding its lowest player, plus the
-    best partition of the remainder.  Blocks go in ascending mask order and
-    only a strictly larger worth replaces the first optimum.
+    best partition of the remainder r, worth ``worth[mask - r] + best[r]``.
+    Blocks go in ascending mask order and only a strictly larger worth
+    replaces the first optimum.
+
+    Ascending blocks are descending remainders r over the subsets of
+    ``rest``, the mask without its lowest player.  They are taken in groups
+    of four over the two lowest bits b0 < b1 of ``rest``: each x over the
+    other bits, descending, yields x + b0 + b1, x + b1, x + b0, x, and the
+    first of them, rest itself, starts the search.  That is the same
+    sequence of remainders, so the candidates, their float sums, the ``>``
+    test and hence the values and choices (ties and zero signs included)
+    are bit-identical to a split-at-a-time loop; the group only shares the
+    subset step and the loop test among four splits.  A rest of one bit has
+    the one split r = 0 left.  Masks are added and subtracted rather than
+    or-ed and xor-ed: their bits never overlap, and CPython's integer + and
+    - take a faster path.
     """
     low = mask & -mask
-    rest = mask ^ low
+    rest = mask - low
     top = worth[low] + best[rest]
     pick = low
-    sub = 0
-    while sub != rest:
-        sub = (sub - rest) & rest
-        block = sub | low
-        cand = worth[block] + best[mask ^ block]
-        if cand > top:
-            top = cand
-            pick = block
+    if rest:
+        b0 = rest & -rest
+        upper = rest - b0
+        if upper:
+            b1 = upper & -upper
+            upper -= b1
+            m0 = mask - b0
+            m1 = mask - b1
+            m01 = m0 - b1
+            b01 = b0 + b1
+            x = upper
+            while True:
+                cand = worth[m1 - x] + best[x + b1]
+                if cand > top:
+                    top = cand
+                    pick = m1 - x
+                cand = worth[m0 - x] + best[x + b0]
+                if cand > top:
+                    top = cand
+                    pick = m0 - x
+                cand = worth[mask - x] + best[x]
+                if cand > top:
+                    top = cand
+                    pick = mask - x
+                if not x:
+                    break
+                x = (x - 1) & upper
+                cand = worth[m01 - x] + best[x + b01]
+                if cand > top:
+                    top = cand
+                    pick = m01 - x
+        else:
+            cand = worth[mask] + best[0]
+            if cand > top:
+                top = cand
+                pick = mask
     best[mask] = top
     choice[mask] = pick
 
@@ -222,6 +264,11 @@ def max_partition_value(v: Game) -> BestPartition:
     Only those masks (the even ones, ascending) and then the full mask are
     filled: (3^(n-1) - 1)/2 + 2^(n-1) splits instead of (3^n - 1)/2 for all
     2^n masks, with identical values, choices and tie-breaks.
+
+    Each mask's splits are scanned by ``_fill_best`` in groups of four
+    remainders over the two lowest bits of the rest; the group keeps the
+    split order and every float sum, so values and blocks are bit-identical
+    to a scan of one split at a time.
     """
     size = 1 << v.n
     worth = v.worth

@@ -201,19 +201,6 @@ def constant_solution(c: float) -> Solution:
     return Solution(f"constant:{format(c, 'g')}", func, worths=NO_WORTHS)
 
 
-def table_solution(name: str, entries: Mapping[Game, Allocation]) -> Solution:
-    """Finite lookup; off-table games are a domain violation."""
-    frozen = dict(entries)
-
-    def func(v: Game) -> Allocation:
-        try:
-            return frozen[v]
-        except KeyError:
-            raise DomainViolation(f"{name!r} has no entry for this game") from None
-
-    return Solution(name, func)
-
-
 def freeze_solution(F: Solution, v0: Game, s0: Any) -> Solution:
     """Restrict F, a rule that reads a structure, to inputs sharing the
     given game or the given structure."""

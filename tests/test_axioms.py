@@ -3,6 +3,7 @@ import time
 from collections import Counter
 
 import pytest
+from test_memo import _wide_corpus
 
 from tugx import axioms, operators
 from tugx.axioms import (
@@ -142,6 +143,75 @@ def test_efficiency_fails_a_miss_of_one_millionth_of_the_payoffs(corpus):
     for games in ((_cancelling_game(),), corpus.games):
         report = check_axiom("efficiency", subject, Corpus(games))
         assert not report.passed and report.cases == 1
+
+
+def _off_by_a_millionth(rule: Solution, weight) -> Solution:
+    """rule with the lowest player's payoff raised by weight(structure)
+    millionths of the payoffs' magnitude."""
+
+    def func(v, s):
+        out = rule.aligned(v, s)
+        miss = 1e-6 * weight(s) * math.fsum(map(abs, out.values))
+        return Allocation(v.players, (out.values[0] + miss,) + out.values[1:])
+
+    return Solution(f"off[{rule.name}]", func, reads=rule.reads)
+
+
+def _per_link(g):
+    return 1 + len(g.links)
+
+
+def test_theorem_suites_pass_on_wide_magnitudes(wide_game):
+    corpus = _wide_corpus(wide_game)
+    reports = [r for suite in THEOREM_SUITES for r in check_theorem_suite(suite, corpus)]
+    assert [r.line() for r in reports if not r.passed] == []
+    assert sum(r.cases for r in reports) > 1000
+
+
+@pytest.mark.parametrize(
+    "axiom, rule, bench, weight",
+    [
+        ("link-fairness", EE_MYERSON, None, _per_link),
+        ("relative-component-surplus-fairness", EE_MYERSON, MYERSON_SOLUTION, _per_link),
+        ("cyclic-removal-balance", EE_AUMANN_DREZE, None, len),
+        ("relative-block-surplus-fairness", EE_AUMANN_DREZE, AUMANN_DREZE, len),
+        ("split-off-balance", AUMANN_DREZE, None, len),
+        ("null-player-gap", EE_AUMANN_DREZE, AUMANN_DREZE, len),
+    ],
+)
+def test_payoff_comparisons_fail_a_miss_of_one_millionth_of_the_payoffs(
+    axiom, rule, bench, weight, corpus, wide_game
+):
+    exact = value_subject(rule, bench)
+    off = value_subject(_off_by_a_millionth(rule, weight), bench)
+    # the wide corpus holds no null players
+    corpora = [corpus] if axiom == "null-player-gap" else [corpus, _wide_corpus(wide_game)]
+    for use in corpora:
+        assert check_axiom(axiom, exact, use).passed
+        report = check_axiom(axiom, off, use)
+        assert not report.passed, (axiom, report.line())
+
+
+@pytest.mark.parametrize(
+    "suite, axiom", [
+        ("network-operators", "link-fairness-at-game"),
+        ("partition-operators", "cyclic-removal-balance-at-game"),
+    ],
+)
+def test_preservation_rows_fail_a_miss_of_one_millionth_of_the_payoffs(
+    suite, axiom, corpus, wide_game, monkeypatch
+):
+    real_wrap = axioms.wrap
+    off_wrap = lambda op, f: _off_by_a_millionth(real_wrap(op, f), _per_link)
+    off_ad = _off_by_a_millionth(axioms._AD_EXTENSION, len)
+    for use in (corpus, _wide_corpus(wide_game)):
+        with monkeypatch.context() as m:
+            m.setattr(axioms, "wrap", off_wrap)
+            m.setattr(axioms, "_AD_EXTENSION", off_ad)
+            (report,) = [r for r in check_theorem_suite(suite, use) if r.axiom == axiom]
+        assert not report.passed, report.line()
+        (report,) = [r for r in check_theorem_suite(suite, use) if r.axiom == axiom]
+        assert report.passed
 
 
 def test_absolute_vs_relative_component_fairness(corpus):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,8 +8,15 @@ from tugx.cli import main
 from tugx.comm import empty_graph
 from tugx.errors import UnknownName
 from tugx.games import Game
-from tugx.io import render_game_text
-from tugx.operators import named_graph_solution, named_partition_solution, named_solution
+from tugx.io import load_game_file, render_game_text, significant
+from tugx.operators import (
+    brute_force_partition_value,
+    max_partition_value,
+    named_graph_solution,
+    named_partition_solution,
+    named_solution,
+)
+from tugx.solutions import Allocation, shapley, shapley_permutation_oracle
 
 
 def run(capsys, *argv):
@@ -403,6 +411,68 @@ def test_oracle_matches(capsys, tmp_path, fixture_dir):
     ):
         code, out, err = run(capsys, "oracle", *argv)
         assert code == 2 and out == "" and message in err, argv
+
+
+def _wide_game_file(tmp_path, seed: int) -> str:
+    rng = random.Random(seed)
+    worth = [0.0] + [
+        rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 11.0) for _ in range(15)
+    ]
+    path = tmp_path / f"wide-{seed}.json"
+    path.write_text(render_game_text(Game((1, 2, 3, 4), tuple(worth))))
+    return str(path)
+
+
+def test_allocation_oracle_reports_its_largest_gaps(capsys, tmp_path, fixture_dir, monkeypatch):
+    game = _wide_game_file(tmp_path, 0)
+    v = load_game_file(game).game
+    pairs = list(zip(shapley(v).values, shapley_permutation_oracle(v).values))
+    gaps = [abs(a - b) for a, b in pairs]
+    assert max(gaps) > 0.0
+    code, out, _ = run(capsys, "oracle", game, "--name", "shapley-perm")
+    payload = json.loads(out)
+    assert code == 0 and payload["match"] is True
+    assert payload["max_abs_gap"] == significant(max(gaps))
+    rel = max(g / max(abs(a), abs(b)) for g, (a, b) in zip(gaps, pairs) if g)
+    assert payload["max_rel_gap"] == significant(rel)
+    # a fast path off by 0.2, 0.5 and 0.4: the largest absolute gap is
+    # player 2's, the largest relative one player 3's
+    def off(v):
+        return Allocation(
+            v.players, tuple(x + d for x, d in zip(shapley(v).values, (0.2, 0.5, 0.4)))
+        )
+
+    monkeypatch.setattr(cli, "shapley", off)
+    trio = str(fixture_dir / "trio.json")
+    v = load_game_file(trio).game
+    fast, ref = off(v).values, shapley_permutation_oracle(v).values
+    code, out, _ = run(capsys, "oracle", trio, "--name", "shapley-perm")
+    payload = json.loads(out)
+    assert code == 1 and payload["match"] is False
+    assert payload["max_abs_gap"] == significant(fast[1] - ref[1])
+    assert payload["max_rel_gap"] == significant((fast[2] - ref[2]) / fast[2])
+
+
+def test_worth_oracle_reports_its_gap(capsys, tmp_path, fixture_dir, monkeypatch):
+    game = _wide_game_file(tmp_path, 0)
+    v = load_game_file(game).game
+    gap = abs(max_partition_value(v).value - brute_force_partition_value(v))
+    assert gap > 0.0
+    code, out, _ = run(capsys, "oracle", game, "--name", "partition-brute")
+    payload = json.loads(out)
+    assert code == 0 and payload["match"] is True
+    assert payload["max_abs_gap"] == significant(gap)
+    assert payload["max_rel_gap"] == significant(gap / abs(payload["reference"]))
+    # a fast path off by a half: no match, and the gap says by how much
+    real = cli.max_partition_value
+    monkeypatch.setattr(
+        cli, "max_partition_value", lambda v: real(v)._replace(value=real(v).value + 0.5)
+    )
+    code, out, _ = run(capsys, "oracle", str(fixture_dir / "trio.json"), "--name", "partition-brute")
+    payload = json.loads(out)
+    assert code == 1 and payload["match"] is False
+    assert (payload["fast"], payload["reference"]) == (3.5, 3.0)
+    assert (payload["max_abs_gap"], payload["max_rel_gap"]) == (0.5, significant(0.5 / 3.5))
 
 
 def test_non_finite_or_negative_tol_exits_2(capsys, fixture_dir):

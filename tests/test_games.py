@@ -14,7 +14,6 @@ from tugx.games import (
     are_symmetric,
     is_null_player,
     iter_set_partitions,
-    marginal_contribution,
     permute_game,
     random_game,
     sample_set_partitions,
@@ -67,13 +66,6 @@ def test_nonzero_table_round_trip(trio):
     table = dict(trio.nonzero_table())
     assert table == {(1, 2): 1.0, (1, 2, 3): 3.0}
     assert Game.from_table(trio.players, table) == trio
-
-
-def test_marginal_contribution(duo):
-    assert marginal_contribution(duo, (1, 2), 2) == 4.0
-    assert marginal_contribution(duo, (1,), 1) == 2.0
-    with pytest.raises(ValueError):
-        marginal_contribution(duo, (1,), 2)
 
 
 def test_symmetry_and_null_detection(trio):

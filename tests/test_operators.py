@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -270,6 +271,33 @@ def _tie_heavy_games(players):
     yield _size_game(players, [0.0] + [1.0] * n)
 
 
+def _signed_zero_games(players):
+    """Games whose best splits tie between 0.0 and -0.0."""
+    size = 1 << len(players)
+    yield Game(players, (-0.0,) * size)
+    yield Game(players, tuple(-0.0 if mask % 3 else 0.0 for mask in range(size)))
+    yield Game(players, tuple(0.0 if bin(mask).count("1") == 1 else -0.0 for mask in range(size)))
+
+
+def _mixed_magnitude_game(players, seed):
+    """Worths of either sign from 1e-8 to 1e15, one in five a signed zero."""
+    rng = random.Random(seed)
+    worth = [0.0]
+    for _ in range(1, 1 << len(players)):
+        if rng.random() < 0.2:
+            worth.append(rng.choice((0.0, -0.0)))
+        else:
+            worth.append(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 15.0))
+    return Game(players, tuple(worth))
+
+
+def _assert_same_best_partition(v):
+    got = max_partition_value(v)
+    value, blocks = _all_masks_best_partition(v)
+    assert got.value.hex() == value.hex()
+    assert got.blocks == blocks
+
+
 def test_best_partition_matches_all_masks_reference():
     for n in range(1, 11):
         players = tuple(range(1, n + 1))
@@ -280,12 +308,30 @@ def test_best_partition_matches_all_masks_reference():
             for seed in range(2 if n <= 8 else 1)
         ]
         for v in games:
-            got = max_partition_value(v)
-            value, blocks = _all_masks_best_partition(v)
-            assert got.value.hex() == value.hex()
-            assert got.blocks == blocks
+            _assert_same_best_partition(v)
             if n in (7, 8):
-                assert got.value == brute_force_partition_value(v)
+                assert max_partition_value(v).value == brute_force_partition_value(v)
+        # fsum in the brute force ignores zero signs and rounds mixed
+        # magnitudes its own way: these match the all-masks DP alone
+        for v in _signed_zero_games(players):
+            _assert_same_best_partition(v)
+        for seed in range(3 if n <= 8 else 1):
+            _assert_same_best_partition(_mixed_magnitude_game(players, seed))
+
+
+# Tie-prone worths and signed zeros mixed with any finite float.
+_worths = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(_worths, min_size=(1 << n) - 1, max_size=(1 << n) - 1)
+))
+def test_best_partition_matches_all_masks_reference_on_any_worths(worths):
+    n = (len(worths) + 1).bit_length() - 1
+    _assert_same_best_partition(Game(tuple(range(1, n + 1)), (0.0, *worths)))
 
 
 def test_proportional_operators_reject_rounding_residue_total():

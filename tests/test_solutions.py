@@ -18,7 +18,6 @@ from tugx.solutions import (
     shapley,
     shapley_permutation_oracle,
     singleton_total,
-    table_solution,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -91,13 +90,6 @@ def test_simple_rules(duo, trio):
     assert constant_solution(1.5)(trio).values == (1.5, 1.5, 1.5)
     assert LEAD_SINGLETON(duo).values == (2.0, 0.0)
     assert LEAD_SINGLETON(trio).values == (0.0, 0.0, 0.0)
-
-
-def test_table_solution(duo, trio):
-    sol = table_solution("pinned", {duo: Allocation((1, 2), (1.0, 5.0))})
-    assert sol(duo).values == (1.0, 5.0)
-    with pytest.raises(DomainViolation):
-        sol(trio)
 
 
 def test_solution_output_is_validated(duo):
