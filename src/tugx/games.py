@@ -54,6 +54,19 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def player_bits(players: Iterable[int]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The sorted player ids and each one's coalition bit.  Duplicate ids and
+    more than MAX_PLAYERS players are refused here, before a caller sizes a
+    worth table by the player count."""
+    ps = tuple(sorted(players))
+    bits = {p: 1 << k for k, p in enumerate(ps)}
+    if len(bits) != len(ps):
+        raise ValueError("duplicate player ids")
+    if len(ps) > MAX_PLAYERS:
+        raise ValueError(f"at most {MAX_PLAYERS} players supported, got {len(ps)}")
+    return ps, bits
+
+
 @dataclass(frozen=True)
 class Game:
     """A TU game: sorted player ids and ``worth[mask]`` per coalition."""
@@ -134,18 +147,15 @@ class Game:
         cls, players: Iterable[int], table: Mapping[Iterable[int], float]
     ) -> "Game":
         """Build a game from explicit coalition worths; unlisted ones are 0."""
-        ps = tuple(sorted(players))
-        pos = {p: k for k, p in enumerate(ps)}
-        if len(pos) != len(ps):
-            raise ValueError("duplicate player ids")
+        ps, bits = player_bits(players)
         worth = [0.0] * (1 << len(ps))
         seen = set()
         for coalition, value in table.items():
             mask = 0
             for p in coalition:
-                if p not in pos:
+                if p not in bits:
                     raise ValueError(f"coalition member {p} is not a player")
-                b = 1 << pos[p]
+                b = bits[p]
                 if mask & b:
                     raise ValueError(f"player {p} listed twice in coalition")
                 mask |= b

@@ -15,7 +15,7 @@ from typing import Any
 from .coalition import Partition, make_partition
 from .comm import Graph
 from .errors import ParseError
-from .games import Game
+from .games import Game, player_bits
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,98 @@ def _require(cond: bool, msg: str) -> None:
         raise ParseError(msg)
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_list(obj: Any, what: str) -> list[int]:
     _require(isinstance(obj, list), f"{what} must be a list")
-    for x in obj:
-        _require(
-            isinstance(x, int) and not isinstance(x, bool),
-            f"{what} must contain only integers",
-        )
+    _require(all(map(_is_int, obj)), f"{what} must contain only integers")
     return obj
+
+
+def _float(value: int | float, k: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"worth entry {k} value is out of float range") from None
+
+
+def _coalition(members: list[int], bits: dict[int, int]) -> tuple[int, str | None]:
+    """The mask of a list of ints, or -1 and why it is no coalition of the
+    players: the first bad member in ascending order."""
+    mask = 0
+    for p in sorted(members):
+        b = bits.get(p, 0)
+        if not b:
+            return -1, f"coalition member {p} is not a player"
+        if mask & b:
+            return -1, f"player {p} listed twice in coalition"
+        mask |= b
+    return mask, None
+
+
+_ENTRY_KEYS = {"coalition", "value"}
+
+
+def _worth_table(entries: list, bits: dict[int, int]) -> list[float]:
+    """The dense worth table of the entries; unlisted coalitions are worth 0.
+
+    Each entry is read straight into its mask, and a message is formatted
+    only once a check fails.  Every entry's shape, types and repetition are
+    checked, in entry order, before the first coalition that names a
+    non-player or a player twice, or an empty coalition of nonzero worth,
+    is reported.
+    """
+    worth = [0.0] * (1 << len(bits))
+    seen = bytearray(len(worth))
+    bad: set[tuple[int, ...]] = set()  # sorted members of non-coalitions
+    late = None  # why the first non-coalition is one
+    for k, entry in enumerate(entries):
+        if type(entry) is not dict or entry.keys() != _ENTRY_KEYS:
+            _require(isinstance(entry, dict), f"worth entry {k} must be an object")
+            _require(
+                entry.keys() == _ENTRY_KEYS,
+                f"worth entry {k} needs exactly 'coalition' and 'value'",
+            )
+        members = entry["coalition"]
+        value = entry["value"]
+        mask = 0
+        if type(members) is list:
+            for p in members:
+                b = bits.get(p, 0) if type(p) is int else 0
+                if not b or mask & b:
+                    mask = -1
+                    break
+                mask |= b
+        else:
+            mask = -1
+        if mask < 0 or (type(value) is not float and type(value) is not int):
+            members = _int_list(members, f"worth entry {k} coalition")
+            _require(
+                isinstance(value, (int, float)) and not isinstance(value, bool),
+                f"worth entry {k} value must be a number",
+            )
+            if mask < 0:
+                mask, why = _coalition(members, bits)
+                if why is not None:
+                    key = tuple(sorted(members))
+                    _require(key not in bad, f"worth entry {k} repeats coalition {list(key)}")
+                    bad.add(key)
+                    _float(value, k)
+                    late = late or why
+                    continue
+        if seen[mask]:
+            raise ParseError(f"worth entry {k} repeats coalition {sorted(members)}")
+        seen[mask] = 1
+        x = value if type(value) is float else _float(value, k)
+        if mask:
+            worth[mask] = x
+        elif x != 0.0:
+            late = late or "the empty coalition must be worth exactly 0"
+    if late is not None:
+        raise ParseError(late)
+    return worth
 
 
 def parse_game_payload(obj: Any) -> GameFile:
@@ -53,24 +137,9 @@ def parse_game_payload(obj: Any) -> GameFile:
     players = _int_list(obj["players"], "'players'")
     _require("worths" in obj, "missing key 'worths'")
     _require(isinstance(obj["worths"], list), "'worths' must be a list")
-    table: dict[tuple[int, ...], float] = {}
-    for k, entry in enumerate(obj["worths"]):
-        _require(isinstance(entry, dict), f"worth entry {k} must be an object")
-        _require(
-            set(entry) == {"coalition", "value"},
-            f"worth entry {k} needs exactly 'coalition' and 'value'",
-        )
-        coalition = tuple(_int_list(entry["coalition"], f"worth entry {k} coalition"))
-        value = entry["value"]
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"worth entry {k} value must be a number",
-        )
-        key = tuple(sorted(coalition))
-        _require(key not in table, f"worth entry {k} repeats coalition {list(key)}")
-        table[key] = float(value)
     try:
-        game = Game.from_table(players, table)
+        ps, bits = player_bits(players)
+        game = Game(ps, tuple(_worth_table(obj["worths"], bits)))
     except ValueError as e:
         raise ParseError(str(e)) from None
     graph = None
@@ -133,7 +202,44 @@ def game_payload(
     return payload
 
 
+def _array(items: list[str], pad: str) -> str:
+    """A JSON array of rendered items, laid out as json.dumps(indent=2) lays
+    out an array that opens at indent pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
 def render_game_text(
     v: Game, graph: Graph | None = None, partition: Partition | None = None
 ) -> str:
-    return json.dumps(game_payload(v, graph, partition), indent=2, sort_keys=True) + "\n"
+    """Exactly ``json.dumps(game_payload(v, graph, partition), indent=2,
+    sort_keys=True) + "\\n"``, written directly: json.dumps runs its pure
+    Python encoder whenever it indents.  Numbers are written by int and
+    float repr, as json writes them, and each coalition's member lines are
+    built once, from those of the coalition without its highest player.
+    """
+    names = [int.__repr__(p) for p in v.players]
+    fields = []  # (key, rendered items), in sorted key order
+    if graph is not None:
+        links = [list(map(int.__repr__, link)) for link in graph.sorted_links()]
+        fields.append(("graph", [_array(link, "    ") for link in links]))
+    if partition is not None:
+        blocks = [list(map(int.__repr__, sorted(b))) for b in partition]
+        fields.append(("partition", [_array(block, "    ") for block in blocks]))
+    fields.append(("players", names))
+    lines = [""]  # lines[mask]: the coalition's member lines
+    for name in names:
+        item = "        " + name
+        lines += [f"{s},\n{item}" if s else item for s in lines]
+    worth = v.worth
+    entries = [
+        f'{{\n      "coalition": [\n{lines[m]}\n      ],\n'
+        f'      "value": {significant(worth[m])!r}\n    }}'
+        for m in range(1, len(worth))
+        if worth[m] != 0.0
+    ]
+    fields.append(("worths", entries))
+    body = ",\n".join(f'  "{key}": {_array(items, "  ")}' for key, items in fields)
+    return "{\n" + body + "\n}\n"

@@ -27,7 +27,7 @@ from typing import Any, Callable, NamedTuple
 from .coalition import AUMANN_DREZE, PARTITION
 from .comm import GRAPH, MYERSON_SOLUTION
 from .errors import BadName, DomainViolation, UnknownName, check_name_depth
-from .games import DEFAULT_TOL, Game, iter_set_partitions
+from .games import DEFAULT_TOL, Game
 from .memo import reuse
 from .solutions import (
     EQUAL_DIVISION,
@@ -287,13 +287,38 @@ def max_partition_value(v: Game) -> BestPartition:
 
 
 def brute_force_partition_value(v: Game) -> float:
-    """Best partition worth by full enumeration.  Exponential; n <= 10 only."""
+    """Best partition worth by full enumeration.  Exponential; n <= 10 only.
+
+    Partitions come in the order of iter_set_partitions, as lists of block
+    masks: player k joins each open block in turn, then opens its own.  Each
+    partition's worth is the fsum of its blocks' worths, and the first
+    maximum is kept.  Independent of the dynamic programme in
+    max_partition_value, which it checks.
+    """
     if v.n > 10:
         raise ValueError("partition enumeration is limited to 10 players")
-    return max(
-        math.fsum(v.value(block) for block in partition)
-        for partition in iter_set_partitions(v.players)
-    )
+    worth = v.worth
+    top = 1 << v.n
+    best = -math.inf
+    blocks: list[int] = []
+
+    def place(bit: int) -> None:
+        nonlocal best
+        if bit == top:
+            total = math.fsum([worth[b] for b in blocks])
+            if total > best:
+                best = total
+            return
+        for i, b in enumerate(blocks):
+            blocks[i] = b | bit
+            place(bit << 1)
+            blocks[i] = b
+        blocks.append(bit)
+        place(bit << 1)
+        blocks.pop()
+
+    place(1)
+    return best
 
 
 @reuse

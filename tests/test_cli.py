@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -302,6 +303,38 @@ def test_gen_is_deterministic(capsys, tmp_path):
     ]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_gen_bytes_are_pinned(capsys, tmp_path):
+    code, _, _ = run(
+        capsys, "gen", str(tmp_path), "--sizes", "6", "--count", "1", "--seed", "3",
+        "--attach", "both",
+    )
+    assert code == 0
+    data = (tmp_path / "game-n6-s3-000.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "495e394919be0124d4e269ce442eb2c4f0d17d1c5864c6f3590d5fa4721e196c"
+    )
+
+
+@pytest.mark.parametrize("n", [17, 64])
+def test_game_file_with_too_many_players_exits_2(capsys, tmp_path, n):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"players": list(range(1, n + 1)), "worths": []}))
+    code, out, err = run(capsys, "solve", str(path), "-s", "shapley")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: at most 16 players supported, got {n}\n"
+
+
+def test_worth_beyond_float_range_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"players": [1, 2], "worths": [{"coalition": [1], "value": 1.5},'
+        ' {"coalition": [1, 2], "value": 1%s}]}' % ("0" * 400)
+    )
+    code, out, err = run(capsys, "solve", str(path), "-s", "shapley")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: worth entry 1 value is out of float range\n"
 
 
 def test_check_suite_and_exit_codes(capsys, tmp_path):

@@ -16,7 +16,14 @@ from tugx.axioms import (
 from tugx.coalition import AUMANN_DREZE, make_partition
 from tugx.comm import MYERSON_SOLUTION, Graph
 from tugx.errors import DomainViolation, UnknownName
-from tugx.games import DEFAULT_TOL, POSITIVE_SINGLETONS, PROFILES, Game, random_game
+from tugx.games import (
+    DEFAULT_TOL,
+    POSITIVE_SINGLETONS,
+    PROFILES,
+    Game,
+    iter_set_partitions,
+    random_game,
+)
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
@@ -317,6 +324,32 @@ def test_best_partition_matches_all_masks_reference():
             _assert_same_best_partition(v)
         for seed in range(3 if n <= 8 else 1):
             _assert_same_best_partition(_mixed_magnitude_game(players, seed))
+
+
+def _frozenset_partition_value(v):
+    """The enumeration brute_force_partition_value replaced: frozenset blocks
+    valued through Game.value."""
+    return max(
+        math.fsum(v.value(block) for block in partition)
+        for partition in iter_set_partitions(v.players)
+    )
+
+
+def test_brute_force_matches_frozenset_enumeration():
+    for n in range(1, 9):
+        players = tuple(range(1, n + 1))
+        games = list(_tie_heavy_games(players)) + list(_signed_zero_games(players))
+        games += [_mixed_magnitude_game(players, seed) for seed in range(3)]
+        games += [random_game(players, seed=n, profile=p) for p in PROFILES]
+        for v in games:
+            got = brute_force_partition_value(v)
+            assert got.hex() == _frozenset_partition_value(v).hex()
+
+
+def test_brute_force_refuses_eleven_players():
+    brute_force_partition_value(random_game(tuple(range(10)), seed=1))
+    with pytest.raises(ValueError, match="limited to 10 players"):
+        brute_force_partition_value(random_game(tuple(range(11)), seed=1))
 
 
 # Tie-prone worths and signed zeros mixed with any finite float.
