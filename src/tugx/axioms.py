@@ -660,40 +660,18 @@ def _null_player_gap(subject, corpus, tol):
 # operator axioms
 
 
-def _averaged_twin(f, a: int, b: int):
+def _twin(f, edit, at=None, away=None):
+    """f with ``edit`` applied to its payoffs: everywhere, only at the
+    arguments ``at``, or everywhere but at the arguments ``away``.  ``edit``
+    maps the payoff list to the new values of the positions it changes."""
+
     def twin(*args):
         out = f(*args)
-        vals = list(out.values)
-        mid = (vals[a] + vals[b]) / 2.0
-        vals[a] = mid
-        vals[b] = mid
-        return Allocation(out.players, tuple(vals))
-
-    return twin
-
-
-def _swapped_twin(f, a: int, b: int, only_at=None):
-    def twin(*args):
-        out = f(*args)
-        if only_at is not None and args != only_at:
+        if (at is not None and args != at) or args == away:
             return out
         vals = list(out.values)
-        vals[a], vals[b] = vals[b], vals[a]
-        return Allocation(out.players, tuple(vals))
-
-    return twin
-
-
-def _detached_twin(f, args0):
-    """Copy of f at args0, shifted by a zero-sum offset everywhere else."""
-
-    def twin(*args):
-        out = f(*args)
-        if args == args0:
-            return out
-        vals = list(out.values)
-        vals[0] += 0.5
-        vals[1] -= 0.5
+        for k, x in edit(vals).items():
+            vals[k] = x
         return Allocation(out.players, tuple(vals))
 
     return twin
@@ -706,7 +684,7 @@ def _op_equal_treatment(subject, corpus, tol):
         v = args[0]
         for f in pool:
             for a, b in combinations(range(v.n), 2):
-                twin = _averaged_twin(f, a, b)
+                twin = _twin(f, lambda x: dict.fromkeys((a, b), (x[a] + x[b]) / 2.0))
                 out = yield lambda: op(twin, *args)
                 if out is _SKIPPED:
                     continue
@@ -720,21 +698,33 @@ def _op_equal_treatment(subject, corpus, tol):
                 )
 
 
+def _conclude(subject, tol, f1, f2, args, idx, **detail):
+    """The operator must pay position idx the same under f1 and f2 at args."""
+    op = subject.target
+    pair = yield lambda: (op(f1, *args), op(f2, *args))
+    if pair is _SKIPPED:
+        return
+    x, y = pair[0].values[idx], pair[1].values[idx]
+    yield None if tol.eq(x, y) else _witness(
+        *args, player=args[0].players[idx], lhs=x, rhs=y, **detail
+    )
+
+
+def _detached(x: list[float]) -> dict[int, float]:
+    """A zero-sum offset of the first two payoffs; one payoff has none."""
+    return {0: x[0] + 0.5, 1: x[1] - 0.5} if len(x) > 1 else {}
+
+
+def _swap_two_others(idx: int, n: int):
+    """The edit swapping the payoffs of the first two positions besides idx."""
+    a, b = [k for k in range(n) if k != idx][:2]
+    return lambda x: {a: x[b], b: x[a]}
+
+
 def _op_equal_surplus(subject, corpus, tol):
     """Payoffs may depend on the benchmark only through the player's own
     benchmark payoff and the benchmark total at the input being played."""
-    op = subject.target
     pool = _pool(subject)
-
-    def conclude(f1, f2, args, idx, **detail):
-        pair = yield lambda: (op(f1, *args), op(f2, *args))
-        if pair is _SKIPPED:
-            return
-        x, y = pair[0].values[idx], pair[1].values[idx]
-        yield None if tol.eq(x, y) else _witness(
-            *args, player=args[0].players[idx], lhs=x, rhs=y, **detail
-        )
-
     for args in _ITEMS[subject.structure](corpus):
         v = args[0]
         # benchmark pairs from the pool that happen to agree here
@@ -747,30 +737,28 @@ def _op_equal_surplus(subject, corpus, tol):
                 continue
             for idx in range(v.n):
                 if o1.values[idx] == o2.values[idx]:
-                    yield from conclude(
-                        f1, f2, args, idx, benchmarks=[_name(f1), _name(f2)]
+                    yield from _conclude(
+                        subject, tol, f1, f2, args, idx, benchmarks=[_name(f1), _name(f2)]
                     )
         for f in pool:
             # identical at this input, offset everywhere else
-            twin = _detached_twin(f, args)
+            twin = _twin(f, _detached, away=args)
             for idx in range(v.n):
-                yield from conclude(
-                    f, twin, args, idx, benchmark=_name(f), pair="detached"
+                yield from _conclude(
+                    subject, tol, f, twin, args, idx, benchmark=_name(f), pair="detached"
                 )
             # two other players' payoffs swapped at this input only
             if v.n >= 3:
                 for idx in range(v.n):
-                    rest = [k for k in range(v.n) if k != idx]
-                    twin = _swapped_twin(f, rest[0], rest[1], only_at=args)
-                    yield from conclude(
-                        f, twin, args, idx, benchmark=_name(f), pair="swapped"
+                    twin = _twin(f, _swap_two_others(idx, v.n), at=args)
+                    yield from _conclude(
+                        subject, tol, f, twin, args, idx, benchmark=_name(f), pair="swapped"
                     )
 
 
 def _op_weak_equal_surplus(subject, corpus, tol):
     """Like the strong form, but the agreement hypothesis must hold at every
     input, so only everywhere-swapped twins are valid constructed pairs."""
-    op = subject.target
     pool = _pool(subject)
     for args in _ITEMS[subject.structure](corpus):
         v = args[0]
@@ -778,15 +766,8 @@ def _op_weak_equal_surplus(subject, corpus, tol):
             continue
         for f in pool:
             for idx in range(v.n):
-                rest = [k for k in range(v.n) if k != idx]
-                twin = _swapped_twin(f, rest[0], rest[1])
-                pair = yield lambda: (op(f, *args), op(twin, *args))
-                if pair is _SKIPPED:
-                    continue
-                x, y = pair[0].values[idx], pair[1].values[idx]
-                yield None if tol.eq(x, y) else _witness(
-                    *args, benchmark=_name(f), player=v.players[idx], lhs=x, rhs=y
-                )
+                twin = _twin(f, _swap_two_others(idx, v.n))
+                yield from _conclude(subject, tol, f, twin, args, idx, benchmark=_name(f))
     return "needs games with 3+ players"
 
 
@@ -870,14 +851,8 @@ def _fa_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
     eligible.sort(key=lambda pair: -len(pair[1].links))
     for v, g in eligible[:4]:
         ext = wrap(GRAPH_ESS_OPERATOR, freeze_solution(MYERSON_SOLUTION, v, g))
-        for links in _link_subsets(g.links):
-            level = Graph(v.players, links)
-            for link in sorted(links):
-                a, b = link
-                full = ext(v, level)
-                cut = ext(v, level.without(link))
-                fair = _agree(tol, full[a] - cut[a], full[b] - cut[b], full, cut)
-                yield None if fair else _witness(v, level, link=list(link))
+        family = tuple((v, Graph(v.players, links)) for links in _link_subsets(g.links))
+        yield from _link_fairness(value_subject(ext), Corpus((), family), tol)
 
 
 _AD_EXTENSION = wrap(PARTITION_ESS_OPERATOR, AUMANN_DREZE)

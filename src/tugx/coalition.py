@@ -4,6 +4,8 @@ A partition groups the players into disjoint blocks.  Rules that read
 ``PARTITION`` take a game together with a partition of its players.  The
 induction solver reconstructs the equal-surplus extension of a benchmark
 from removal cycles on a null-extended game plus block-sum constraints.
+Its block arithmetic, ``settle_blocks`` and ``slack``, is shared with the
+fairness induction solver of ``comm``.
 """
 
 from __future__ import annotations
@@ -155,6 +157,38 @@ def cycle_balance_residual(
     return succ - pred
 
 
+def slack(tol: Tolerance, values: Iterable[float]) -> float:
+    """How far an induction solver's equations may miss: a thousand times
+    the tolerance at the largest of 1 and the magnitudes of values."""
+    return 1000.0 * (tol.abs_eps + tol.rel_eps * max([1.0, *map(abs, values)]))
+
+
+def settle_blocks(
+    v: Game,
+    bench: Allocation,
+    blocks: Iterable[Iterable[int]],
+    relative: Callable[[list[int]], Sequence[float]],
+) -> dict[int, float]:
+    """Payoffs of an induction solver, block by block.
+
+    Each block's payoff total is its benchmark total plus a head-count share
+    of the surplus of v(N) over the benchmark's total.  ``relative(members)``
+    gives the members' payoffs, in sorted order, up to one common shift;
+    they are shifted equally to meet the block total.
+    """
+    surplus = v.grand - math.fsum(bench.values)
+    payoffs: dict[int, float] = {}
+    for blk in blocks:
+        members = sorted(blk)
+        k = len(members)
+        block_total = math.fsum(bench[i] for i in members) + k * surplus / v.n
+        rel = relative(members)
+        shift = (block_total - math.fsum(rel)) / k
+        for i, r in zip(members, rel):
+            payoffs[i] = r + shift
+    return payoffs
+
+
 def solve_by_cycle_balance_induction(
     F: PartitionBenchmark,
     v: Game,
@@ -172,19 +206,12 @@ def solve_by_cycle_balance_induction(
     beyond tolerance means the constraints are inconsistent.
     """
     part = make_partition(P, v.players)
-    bench = F(v, part)
-    surplus = v.grand - math.fsum(bench.values)
-    payoffs: dict[int, float] = {}
-    for blk in part:
-        members = tuple(sorted(blk))
+
+    def relative(members: list[int]) -> list[float]:
         k = len(members)
-        block_total = (
-            math.fsum(bench[i] for i in members) + k * surplus / v.n
-        )
         if k == 1:
-            payoffs[members[0]] = block_total
-            continue
-        w, wP, nid = extend_with_null(v, part, blk)
+            return [0.0]
+        w, wP, nid = extend_with_null(v, part, members)
         red = {b: F(*remove_player(w, wP, b)) for b in members}
         gaps = []  # gaps[s] = payoff of members[s+1] minus payoff of members[s]
         for s in range(k):
@@ -201,19 +228,14 @@ def solve_by_cycle_balance_induction(
                 r = red[members[(l - 1) % k]]
                 pred_terms.append(r[members[l]] - r[nid])
             gaps.append(math.fsum(succ_terms) - math.fsum(pred_terms))
-        scale = max(
-            [1.0] + [abs(x) for r in red.values() for x in r.values]
-        )
-        slack = 1000.0 * (tol.abs_eps + tol.rel_eps * scale)
         drift = math.fsum(gaps)
-        if abs(drift) > slack:
+        if abs(drift) > slack(tol, (x for r in red.values() for x in r.values)):
             raise InconsistentSystem(
-                f"block {members}: cycle gaps drift by {drift:g}"
+                f"block {tuple(members)}: cycle gaps drift by {drift:g}"
             )
         rel = [0.0]
         for s in range(k - 1):
             rel.append(rel[-1] + gaps[s])
-        shift = (block_total - math.fsum(rel)) / k
-        for s, i in enumerate(members):
-            payoffs[i] = rel[s] + shift
-    return Allocation.from_mapping(payoffs)
+        return rel
+
+    return Allocation.from_mapping(settle_blocks(v, F(v, part), part, relative))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
+from .coalition import settle_blocks, slack
 from .errors import DomainViolation, InconsistentSystem
 from .games import DEFAULT_TOL, Game, Tolerance
 from .memo import reuse
@@ -254,15 +255,8 @@ def solve_by_fairness_induction(
         for link in links:
             sub = solve(links - {link})
             gaps[link] = sub[link[0]] - sub[link[1]]
-        bench = F(v, level)
-        surplus = v.grand - math.fsum(bench.values)
-        payoffs: dict[int, float] = {}
-        for comp in components(level):
-            block_total = (
-                math.fsum(bench[i] for i in sorted(comp))
-                + len(comp) * surplus / v.n
-            )
-            members = sorted(comp)
+
+        def relative(members: list[int]) -> list[float]:
             rel = {members[0]: 0.0}
             frontier = [members[0]]
             while frontier:
@@ -276,19 +270,14 @@ def solve_by_fairness_induction(
                     # gaps[link] is payoff(low) - payoff(high)
                     rel[b] = rel[a] - gaps[link] if a == link[0] else rel[a] + gaps[link]
                     frontier.append(b)
-            shift = (block_total - math.fsum(rel[i] for i in members)) / len(comp)
-            for i in members:
-                payoffs[i] = rel[i] + shift
-        scale = max(
-            [1.0]
-            + [abs(x) for x in payoffs.values()]
-            + [abs(x) for x in gaps.values()]
-        )
-        slack = 1000.0 * (tol.abs_eps + tol.rel_eps * scale)
+            return [rel[i] for i in members]
+
+        payoffs = settle_blocks(v, F(v, level), components(level), relative)
+        bound = slack(tol, [*payoffs.values(), *gaps.values()])
         for link, gap in gaps.items():
-            if abs((payoffs[link[0]] - payoffs[link[1]]) - gap) > slack:
+            if abs((payoffs[link[0]] - payoffs[link[1]]) - gap) > bound:
                 raise InconsistentSystem(
-                    f"link {link}: gap equations disagree beyond {slack:g}"
+                    f"link {link}: gap equations disagree beyond {bound:g}"
                 )
         out = Allocation.from_mapping(payoffs)
         memo[links] = out

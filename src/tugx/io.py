@@ -172,6 +172,8 @@ def parse_game_text(text: str) -> GameFile:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
     return parse_game_payload(obj)
 
 

@@ -32,6 +32,7 @@ from tugx.operators import (
     GRAPH_ESS_OPERATOR,
     Operator,
     PS_VALUE,
+    anchored_ess_operator,
     max_partition_value,
     wrap,
 )
@@ -210,6 +211,7 @@ def test_preservation_rows_fail_a_miss_of_one_millionth_of_the_payoffs(
             m.setattr(axioms, "_AD_EXTENSION", off_ad)
             (report,) = [r for r in check_theorem_suite(suite, use) if r.axiom == axiom]
         assert not report.passed, report.line()
+        assert {"lhs", "rhs"} <= report.witness.keys()
         (report,) = [r for r in check_theorem_suite(suite, use) if r.axiom == axiom]
         assert report.passed
 
@@ -252,6 +254,16 @@ def test_operator_axioms(corpus):
     ):
         report = check_axiom(axiom, sub, corpus)
         assert report.passed and report.cases > 0, axiom
+
+
+def test_operator_equal_surplus_on_one_player_games():
+    # the anchored operator runs the detached twin at its anchor, a second
+    # one-player game, where no zero-sum offset exists
+    anchor = Game.from_table([1], {(1,): 2.0})
+    corpus = Corpus(tuple(Game.from_table([1], {(1,): x}) for x in (1.0, 3.0)))
+    subject = operator_subject(anchored_ess_operator(anchor))
+    report = check_axiom("operator-equal-surplus", subject, corpus)
+    assert report.passed and report.cases == 14
 
 
 def test_weak_surplus_vacuous_on_two_players():

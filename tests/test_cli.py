@@ -337,6 +337,14 @@ def test_worth_beyond_float_range_exits_2(capsys, tmp_path):
     assert err == f"error: {path}: worth entry 1 value is out of float range\n"
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "solve", str(path), "-s", "shapley")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: not valid JSON: nested too deeply\n"
+
+
 def test_check_suite_and_exit_codes(capsys, tmp_path):
     code, out, _ = run(
         capsys, "check", "gen:n=2-3,count=3,seed=11", "--suite", "network-extension"
@@ -583,3 +591,22 @@ def test_oracles_call_solvers_at_call_time(capsys, monkeypatch, fixture_dir):
         code, out, _ = run(capsys, "oracle", trio, "--name", oracle)
         assert code == 0 and json.loads(out)["match"] is True
     assert calls == ["solve_by_fairness_induction", "solve_by_cycle_balance_induction"]
+
+
+def test_induction_oracle_bytes_are_pinned(capsys, tmp_path, fixture_dir):
+    # both induction oracles under four benchmarks, on the fixtures and a
+    # generated corpus with graphs and partitions: stdout and exit codes
+    code, _, _ = run(capsys, "gen", str(tmp_path), "--sizes", "2-6", "--count", "2",
+                     "--seed", "5", "--attach", "both")
+    assert code == 0
+    games = sorted(fixture_dir.glob("*.json")) + sorted(tmp_path.glob("*.json"))
+    assert len(games) == 13
+    digest = hashlib.sha256()
+    for game in games:
+        for oracle in ("fairness-induction", "cycle-induction"):
+            for bench in ((), ("-f", "zero"), ("-f", "shapley"), ("-f", "standalone")):
+                code, out, _ = run(capsys, "oracle", str(game), "--name", oracle, *bench)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "415eb064ae89a529286fe010dddea4eb384e6e81f0ee44d5f59ab7859db9dcc2"
+    )

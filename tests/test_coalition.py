@@ -154,7 +154,9 @@ def test_cycle_induction_rejects_unbalanced_benchmark():
     greedy = Solution("lowest-takes-all", lowest_takes_all, reads=PARTITION)
     v = random_game((1, 2, 3), seed=12)
     P = (frozenset({1, 2, 3}),)
-    with pytest.raises(InconsistentSystem):
+    with pytest.raises(
+        InconsistentSystem, match=r"^block \(1, 2, 3\): cycle gaps drift by 8\.65625$"
+    ):
         solve_by_cycle_balance_induction(greedy, v, P)
 
 

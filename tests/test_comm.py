@@ -135,7 +135,10 @@ def test_fairness_induction_detects_doctored_cache(trio):
     doctored = Allocation(good.players, (good.values[0] + 0.25,) + good.values[1:])
     broken = {k: v for k, v in cache.items() if len(k) <= 1}
     broken[key] = doctored
-    with pytest.raises(InconsistentSystem):
+    with pytest.raises(
+        InconsistentSystem,
+        match=r"^link \(2, 3\): gap equations disagree beyond 2\.16667e-06$",
+    ):
         solve_by_fairness_induction(MYERSON_SOLUTION, trio, g, cache=broken)
 
 

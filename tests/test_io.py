@@ -80,6 +80,12 @@ def test_parse_rejections(text, message):
         parse_game_text(text)
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    for text in ("[" * 100_000, '{"a": ' * 100_000):
+        with pytest.raises(ParseError, match="^not valid JSON: nested too deeply$"):
+            parse_game_text(text)
+
+
 @pytest.mark.parametrize(
     "worths, message",
     [
