@@ -478,11 +478,14 @@ def _invariance_partners(f, v: Game, i: int) -> list[Game]:
 
     Every candidate is screened against the exact hypothesis later, so this
     only needs to propose games likely to satisfy it for this benchmark.
+    A one-player game has only the scaled partner.
     """
+    others = [p for p in v.players if p != i]
+    if not others:
+        return [_scaled_game(v)]
     partners = []
     if v.n >= 3:
         partners.append(permute_game(v, _rotation_fixing(v.players, i)))
-    others = [p for p in v.players if p != i]
     if f.worths == SINGLETON_WORTHS:
         if v.n >= 3:
             a, b = others[0], others[1]

@@ -14,7 +14,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainViolation, InconsistentSystem
-from .games import DEFAULT_TOL, Game, Tolerance, subgame
+from .games import DEFAULT_TOL, Game, Tolerance, _relabel, subgame
 from .solutions import Allocation, Solution, Structure, shapley
 
 Partition = tuple[frozenset[int], ...]
@@ -96,15 +96,11 @@ def extend_with_null(
     if nid in v.players:
         raise ValueError(f"player {nid} already exists")
     players = tuple(sorted(v.players + (nid,)))
-    at = players.index(nid)
-    low = (1 << at) - 1
-    worth = []
-    for mask in range(1 << len(players)):
-        old = (mask & low) | ((mask >> 1) & ~low)
-        worth.append(v.worth[old])
+    bits = [1 << k for k in range(v.n)]
+    bits.insert(players.index(nid), 0)
     blocks = [b for b in P if b != blk]
     blocks.append(blk | {nid})
-    return Game(players, tuple(worth)), make_partition(blocks, players), nid
+    return _relabel(v, players, bits), make_partition(blocks, players), nid
 
 
 def cycle_balance_sides(

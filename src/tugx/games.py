@@ -90,7 +90,7 @@ class Game:
             )
         if self.worth[0] != 0.0:
             raise ValueError("the empty coalition must be worth exactly 0")
-        if any(not math.isfinite(x) for x in self.worth):
+        if not all(map(math.isfinite, self.worth)):
             raise ValueError("coalition worths must be finite")
 
     @property
@@ -199,15 +199,8 @@ def permute_game(v: Game, mapping: Mapping[int, int]) -> Game:
         raise ValueError("mapping must be defined on exactly the player set")
     if sorted(mapping.values()) != list(v.players):
         raise ValueError("mapping must permute the player set")
-    pos = {p: k for k, p in enumerate(v.players)}
-    worth = [0.0] * len(v.worth)
-    for mask in range(len(v.worth)):
-        image = 0
-        for k in range(v.n):
-            if mask >> k & 1:
-                image |= 1 << pos[mapping[v.players[k]]]
-        worth[image] = v.worth[mask]
-    return Game(v.players, tuple(worth))
+    pos = {mapping[p]: k for k, p in enumerate(v.players)}
+    return _relabel(v, v.players, [1 << pos[q] for q in v.players])
 
 
 def subgame(v: Game, coalition: Iterable[int]) -> Game:
@@ -220,19 +213,23 @@ def subgame(v: Game, coalition: Iterable[int]) -> Game:
 
 @reuse
 def _subgame(v: Game, keep: int) -> Game:
-    """The subgame on a nonempty coalition mask.
+    """The subgame on a nonempty coalition mask."""
+    return _relabel(v, v.members(keep), [1 << k for k in range(v.n) if keep >> k & 1])
 
-    The parent mask of every sub-coalition is built by doubling: for each
-    kept bit, in ascending order, the list so far is repeated with that bit
-    set, so entry t holds the parent mask whose kept bits spell t.  The
-    worths are gathered unchanged.
+
+def _relabel(v: Game, players: tuple[int, ...], bits: Iterable[int]) -> Game:
+    """The game on players whose bit k stands for v's bit ``bits[k]``, or
+    for a player who adds nothing where that is 0.
+
+    The parent mask of every coalition is built by doubling: for each new
+    bit, in ascending order, the list so far is repeated with its source
+    bit set, so entry t holds the parent mask that t's bits stand for.  The
+    worths are gathered unchanged, signed zeros included.
     """
     idx = [0]
-    for k in range(v.n):
-        if keep >> k & 1:
-            b = 1 << k
-            idx += [m | b for m in idx]
-    return Game(v.members(keep), tuple(map(v.worth.__getitem__, idx)))
+    for b in bits:
+        idx += [m | b for m in idx]
+    return Game(players, tuple(map(v.worth.__getitem__, idx)))
 
 
 def unanimity_game(players: Iterable[int], carriers: Iterable[int]) -> Game:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tugx import cli
+from tugx.axioms import ALL_AXIOMS, THEOREM_SUITES, _CHECKERS
 from tugx.cli import main
 from tugx.comm import empty_graph
 from tugx.errors import UnknownName
@@ -610,3 +611,35 @@ def test_induction_oracle_bytes_are_pinned(capsys, tmp_path, fixture_dir):
     assert digest.hexdigest() == (
         "415eb064ae89a529286fe010dddea4eb384e6e81f0ee44d5f59ab7859db9dcc2"
     )
+
+
+# A target (and benchmark) of each subject kind, for the exit-status matrix.
+_KIND_TARGETS = {
+    "value": ("ess", "standalone"),
+    "graph": ("ee-myerson", "myerson"),
+    "partition": ("ee-aumann-dreze", "aumann-dreze"),
+    "operator": ("ess", None),
+    "graph-operator": ("graph-ess", None),
+    "partition-operator": ("partition-ess", None),
+}
+
+
+def _check_invocations():
+    source = "gen:n=1-3,count=1,seed=3"
+    for suite in THEOREM_SUITES:
+        yield ("check", source, "--suite", suite)
+    for axiom in ALL_AXIOMS:
+        kind = _CHECKERS[axiom][0][0]
+        target, bench = _KIND_TARGETS[kind]
+        argv = ("check", source, "--axiom", axiom, "--target", target, "--kind", kind)
+        yield argv + (("--benchmark", bench) if bench else ())
+
+
+@pytest.mark.parametrize(
+    "argv", list(_check_invocations()), ids=lambda argv: " ".join(argv[2:4])
+)
+def test_check_exit_status_matrix(capsys, argv):
+    # every suite and every axiom on one-, two- and three-player games ends
+    # in a verdict or a usage error, never in a traceback
+    code, _, _ = run(capsys, *argv)
+    assert code in (0, 1, 2)

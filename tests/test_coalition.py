@@ -216,3 +216,31 @@ def test_partition_checked_once_per_evaluation(name, monkeypatch):
         rule(v, [[1, 2], [2, 3, 4]])
     with pytest.raises(ValueError, match="blocks must cover exactly the player set"):
         rule(v, [[1, 2], [3]])
+
+
+def _reference_null_worths(v, players, nid):
+    """Each extended coalition's worth read from v, mask by mask."""
+    worth = []
+    for mask in range(1 << len(players)):
+        members = [p for k, p in enumerate(players) if mask >> k & 1 and p != nid]
+        worth.append(v.worth[v.mask_of(members)])
+    return worth
+
+
+def test_extend_with_null_matches_per_mask_reference(wide_game):
+    for n in range(1, 7):
+        players = tuple(range(1, 2 * n + 1, 2))
+        v = wide_game(players, seed=n)
+        for P in (
+            make_partition([players]),
+            make_partition([[p] for p in players]),
+            make_partition([players[::2], players[1::2]] if n > 1 else [players]),
+        ):
+            for block in P:
+                for new_id in (None, *range(0, 2 * n + 1, 2)):
+                    w, wP, nid = extend_with_null(v, P, block, new_id)
+                    assert nid == (2 * n if new_id is None else new_id)
+                    assert w.players == tuple(sorted(players + (nid,)))
+                    assert block | {nid} in wP
+                    ref = _reference_null_worths(v, w.players, nid)
+                    assert [x.hex() for x in w.worth] == [x.hex() for x in ref]

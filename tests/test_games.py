@@ -204,3 +204,37 @@ def test_subgame_matches_per_bit_reference(wide_game):
                 assert sub.players == v.members(mask)
                 assert sub.worth == ref
                 assert [x.hex() for x in sub.worth] == [x.hex() for x in ref]
+
+
+def _reference_permuted_worths(v, mapping):
+    """The former kernel: each mask's image assembled bit by bit."""
+    pos = {p: k for k, p in enumerate(v.players)}
+    worth = [0.0] * len(v.worth)
+    for mask in range(len(v.worth)):
+        image = 0
+        for k in range(v.n):
+            if mask >> k & 1:
+                image |= 1 << pos[mapping[v.players[k]]]
+        worth[image] = v.worth[mask]
+    return tuple(worth)
+
+
+def test_permute_game_matches_per_bit_reference(wide_game):
+    for n in range(1, 7):
+        players = tuple(range(2, 2 * n + 2, 2))
+        games = [random_game(players, seed=n, profile=p) for p in PROFILES]
+        games.append(wide_game(players, seed=n))
+        mappings = [
+            dict(zip(players, players[r:] + players[:r])) for r in range(n)
+        ]
+        for a in range(n):
+            for b in range(a + 1, n):
+                swap = dict(zip(players, players))
+                swap[players[a]], swap[players[b]] = players[b], players[a]
+                mappings.append(swap)
+        for v in games:
+            for mapping in mappings:
+                w = permute_game(v, mapping)
+                ref = _reference_permuted_worths(v, mapping)
+                assert w.players == v.players
+                assert [x.hex() for x in w.worth] == [x.hex() for x in ref]
