@@ -10,7 +10,15 @@ on generated corpora.
 
 The ``tugx`` logger is silent unless configured; at DEBUG it reports, for
 each axiom check, the kernel results reused and recomputed.
+
+The axiom harness (``tugx.axioms``, the largest module) and the command line
+(``tugx.cli``) load on first use: the names below that come from them resolve
+through the module ``__getattr__``, so a process that only solves games never
+compiles them.
 """
+
+import importlib
+import types
 
 from .errors import (
     DomainViolation,
@@ -106,22 +114,50 @@ from .operators import (
     weighted_operator,
     wrap,
 )
-from .axioms import (
-    ALL_AXIOMS,
-    AxiomReport,
-    Corpus,
-    DEFAULT_BENCHMARKS,
-    Subject,
-    THEOREM_SUITES,
-    check_axiom,
-    check_theorem_suite,
-    graph_operator_subject,
-    graph_subject,
-    operator_subject,
-    partition_operator_subject,
-    partition_subject,
-    value_subject,
-)
 from .io import GameFile, game_payload, load_game_file, parse_game_text, render_game_text
 
 __version__ = "0.1.0"
+
+_LAZY_MODULES = ("axioms", "cli")
+_AXIOM_NAMES = (
+    "ALL_AXIOMS",
+    "AxiomReport",
+    "Corpus",
+    "DEFAULT_BENCHMARKS",
+    "Subject",
+    "THEOREM_SUITES",
+    "check_axiom",
+    "check_theorem_suite",
+    "graph_operator_subject",
+    "graph_subject",
+    "operator_subject",
+    "partition_operator_subject",
+    "partition_subject",
+    "value_subject",
+)
+
+# The public names: everything imported above that is not a module, and the
+# axiom names.
+__all__ = sorted(
+    [
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    + list(_AXIOM_NAMES)
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _AXIOM_NAMES:
+        value = getattr(importlib.import_module(f"{__name__}.axioms"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULES, *_AXIOM_NAMES})

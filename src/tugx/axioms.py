@@ -73,6 +73,7 @@ from .operators import (
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
     PS_VALUE,
+    SUBJECT_KINDS,
     best_partition_worth,
     wrap,
 )
@@ -93,16 +94,6 @@ from .solutions import (
 
 EXACT = Tolerance(0.0, 0.0)
 
-# Every subject kind as reports and the command line spell it: the structure
-# its inputs carry, and whether its target is an operator.
-SUBJECT_KINDS: dict[str, tuple[Structure | None, bool]] = {
-    "value": (None, False),
-    "graph": (GRAPH, False),
-    "partition": (PARTITION, False),
-    "operator": (None, True),
-    "graph-operator": (GRAPH, True),
-    "partition-operator": (PARTITION, True),
-}
 _KIND_OF = {shape: kind for kind, shape in SUBJECT_KINDS.items()}
 
 DEFAULT_BENCHMARKS = (STAND_ALONE, EQUAL_DIVISION, SHAPLEY, constant_solution(1.5))

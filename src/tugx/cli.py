@@ -4,6 +4,9 @@ Subcommands: solve a game file, run property checks over a corpus, generate
 reproducible corpora, and cross-check fast paths against slow oracles.
 Exit status 0 means success, 1 means a check or oracle comparison failed,
 2 means the request itself was unusable (bad file, bad name, out of domain).
+
+Only ``check`` imports the axiom harness, inside the functions that run it:
+every command is a process of its own, and the other three never need it.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import math
 import os
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from .axioms import DEFAULT_POOLS, SUBJECT_KINDS, Corpus, Subject, check_axiom, check_theorem_suite
 from .coalition import make_partition, solve_by_cycle_balance_induction
 from .comm import Graph, solve_by_fairness_induction
 from .errors import BadName, DomainViolation, MissingStructure, TugxError, UnknownName
@@ -25,6 +29,7 @@ from .io import GameFile, load_game_file, render_game_text, significant
 from .operators import (
     GRAPH_ESS_OPERATOR,
     PARTITION_ESS_OPERATOR,
+    SUBJECT_KINDS,
     Operator,
     brute_force_partition_value,
     max_partition_value,
@@ -35,6 +40,9 @@ from .operators import (
     wrap,
 )
 from .solutions import Allocation, allocations_close, shapley, shapley_permutation_oracle
+
+if TYPE_CHECKING:
+    from .axioms import Corpus, Subject
 
 
 def _int(text: str, field: str) -> int:
@@ -71,6 +79,8 @@ def _check_count(count: int) -> int:
 
 def _corpus_from_source(source: str) -> Corpus:
     """Either `gen:n=2-4,count=12,seed=7[,profile=...]` or a directory."""
+    from .axioms import Corpus
+
     if source.startswith("gen:"):
         fields = {"n": "2-4", "count": "12", "seed": "7", "profile": GENERAL}
         for token in source[4:].split(","):
@@ -133,6 +143,8 @@ def _subject(args, anchor: Game | None) -> Subject:
     """--target read as --kind says, else as a rule or failing that an
     operator.  Inputs carry the structure --kind names, else the one the
     target reads."""
+    from .axioms import DEFAULT_POOLS, Subject
+
     if args.kind:
         structure, operator = SUBJECT_KINDS[args.kind]
         target = (named_operator if operator else named_solution)(args.target, anchor)
@@ -232,6 +244,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .axioms import check_axiom, check_theorem_suite
+
     corpus = _corpus_from_source(args.corpus)
     tol = _tol_from(args)
     anchor = _load_anchor(args.anchor)
@@ -244,6 +258,8 @@ def _cmd_check(args) -> int:
         reports.append(check_axiom(args.axiom, _subject(args, anchor), corpus, tol))
     if not reports:
         raise ValueError("nothing to check: pass --suite and/or --axiom")
+    if args.strict:
+        reports = [r if r.cases else replace(r, verdict="fail") for r in reports]
     failed = sum(1 for report in reports if not report.passed)
     # Every witness is rendered before anything is printed, so a non-finite
     # one ends the run with an empty stdout.
@@ -413,6 +429,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="absolute and relative tolerance")
     p.add_argument(
         "--json", action="store_true", help="emit reports as JSON instead of lines"
+    )
+    p.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail a check that found no applicable case",
     )
     p.set_defaults(fn=_cmd_check)
 

@@ -19,7 +19,6 @@ over the stand-alone worths.  This module also resolves every rule name,
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple
@@ -44,6 +43,17 @@ from .solutions import (
 
 # A benchmark: a Solution, or any callable over (game, *structure).
 Benchmark = Solution | Callable[..., Allocation]
+
+# Every subject kind as reports and the command line spell it: the structure
+# its inputs carry, and whether its target is an operator.
+SUBJECT_KINDS: dict[str, tuple[Structure | None, bool]] = {
+    "value": (None, False),
+    "graph": (GRAPH, False),
+    "partition": (PARTITION, False),
+    "operator": (None, True),
+    "graph-operator": (GRAPH, True),
+    "partition-operator": (PARTITION, True),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +147,9 @@ _PS = Sharing("ps", _ps_shares, _require_positive_singletons)
 
 
 def _game_digest(v: Game) -> str:
+    # imported here: only the anchored names need it, and it is slow to load
+    import hashlib
+
     raw = repr((v.players, v.worth)).encode()
     return hashlib.sha1(raw).hexdigest()[:8]
 

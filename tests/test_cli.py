@@ -643,3 +643,59 @@ def test_check_exit_status_matrix(capsys, argv):
     # in a verdict or a usage error, never in a traceback
     code, _, _ = run(capsys, *argv)
     assert code in (0, 1, 2)
+
+
+# sha256 of what each call prints.  The check help and the --kind error
+# differ from the version before --strict only by that option's usage token
+# and help line.
+_HELP_DIGESTS = {
+    ("--help",): "6e84ae0afbf4e6b82e3ebcf1e39716af8c544936c9cfd2d4a3cd5fedf14efba1",
+    ("solve", "--help"): "f153533f4147c14f20f1173f2a63777cf643d23b227686213427604656e5aaec",
+    ("check", "--help"): "851f401241402dd589aa3a05561d521fd74c8c5f0d27ab0de6f00e930338801f",
+    ("gen", "--help"): "9ebfa7b375f1d94a8667c75c0a9855144ea44c8e3d6ce02b15d78c4d06a42e30",
+    ("oracle", "--help"): "8616837fbf6233436cf55af6a01223014b3cb809c4650a769862b17870165757",
+}
+
+
+@pytest.mark.parametrize("argv", list(_HELP_DIGESTS), ids=" ".join)
+def test_help_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_DIGESTS[argv]
+
+
+def test_unknown_kind_bytes_are_pinned(capsys, monkeypatch):
+    # the --kind choices, in SUBJECT_KINDS order, are part of the message
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "check", "x", "--kind", "bogus")
+    assert code == 2 and out == ""
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "d6ad20a6111ef5d41df0fa0f2ccca117507cbd9dad4059c0f5e68b7b43a00a3b"
+    )
+
+
+def test_strict_fails_a_vacuous_check(capsys, tmp_path):
+    # ps is out of domain on every game here, so efficiency has no case
+    (tmp_path / "negative.json").write_text(
+        render_game_text(Game.from_table([1, 2], {(1,): -1.0, (2,): -2.0, (1, 2): 3.0}))
+    )
+    argv = ("check", str(tmp_path), "--axiom", "efficiency", "--target", "ps")
+    note = "vacuous: no applicable cases; skipped 1 out-of-domain evaluations"
+    for strict, code, tag in (((), 0, "PASS"), (("--strict",), 1, "FAIL")):
+        assert run(capsys, *argv, *strict) == (
+            code, f"[{tag}] efficiency :: ps (cases=0) [{note}]\n1 checks, {code} failed\n", ""
+        )
+        got, out, _ = run(capsys, *argv, *strict, "--json")
+        assert got == code
+        assert json.loads(out) == {
+            "failed": code,
+            "reports": [{
+                "axiom": "efficiency", "subject": "ps", "verdict": tag.lower(), "cases": 0,
+                "witness": None, "note": note,
+            }],
+        }
+    # a check with cases is unchanged under --strict
+    code, out, _ = run(capsys, "check", str(tmp_path), "--axiom", "efficiency", "--target",
+                       "ess", "--strict")
+    assert code == 0 and out.startswith("[PASS] efficiency :: ess (cases=1)")
