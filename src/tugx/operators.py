@@ -200,69 +200,55 @@ class BestPartition(NamedTuple):
     blocks: tuple[frozenset[int], ...]
 
 
-def _fill_best(
-    mask: int, worth: tuple[float, ...], best: list[float], choice: list[int]
+def _offer(
+    block: int, free: int, w: float, best: list[float], choice: list[int]
 ) -> None:
-    """Best split of one mask: a block holding its lowest player, plus the
-    best partition of the remainder r, worth ``worth[mask - r] + best[r]``.
-    Blocks go in ascending mask order and only a strictly larger worth
-    replaces the first optimum.
+    """Push ``block`` (worth w) to every mask block + r, r a nonempty subset
+    of ``free``: the candidate ``w + best[r]`` replaces the mask's best only
+    if it is strictly larger.
 
-    Ascending blocks are descending remainders r over the subsets of
-    ``rest``, the mask without its lowest player.  They are taken in groups
-    of four over the two lowest bits b0 < b1 of ``rest``: each x over the
-    other bits, descending, yields x + b0 + b1, x + b1, x + b0, x, and the
-    first of them, rest itself, starts the search.  That is the same
-    sequence of remainders, so the candidates, their float sums, the ``>``
-    test and hence the values and choices (ties and zero signs included)
-    are bit-identical to a split-at-a-time loop; the group only shares the
-    subset step and the loop test among four splits.  A rest of one bit has
-    the one split r = 0 left.  Masks are added and subtracted rather than
-    or-ed and xor-ed: their bits never overlap, and CPython's integer + and
-    - take a faster path.
+    The remainders go in groups of four over the two lowest bits b0 < b1 of
+    ``free``: each x over the other bits yields x + b0 + b1, x + b1, x + b0
+    and, while x is nonzero, x.  Each mask gets one candidate from the
+    block, so their order within the block does not matter.  Masks are
+    added rather than or-ed: their bits never overlap, and CPython's integer
+    + takes a faster path.
     """
-    low = mask & -mask
-    rest = mask - low
-    top = worth[low] + best[rest]
-    pick = low
-    if rest:
-        b0 = rest & -rest
-        upper = rest - b0
-        if upper:
-            b1 = upper & -upper
-            upper -= b1
-            m0 = mask - b0
-            m1 = mask - b1
-            m01 = m0 - b1
-            b01 = b0 + b1
-            x = upper
-            while True:
-                cand = worth[m1 - x] + best[x + b1]
-                if cand > top:
-                    top = cand
-                    pick = m1 - x
-                cand = worth[m0 - x] + best[x + b0]
-                if cand > top:
-                    top = cand
-                    pick = m0 - x
-                cand = worth[mask - x] + best[x]
-                if cand > top:
-                    top = cand
-                    pick = mask - x
-                if not x:
-                    break
-                x = (x - 1) & upper
-                cand = worth[m01 - x] + best[x + b01]
-                if cand > top:
-                    top = cand
-                    pick = m01 - x
-        else:
-            cand = worth[mask] + best[0]
-            if cand > top:
-                top = cand
-                pick = mask
-    best[mask] = top
-    choice[mask] = pick
+    b0 = free & -free
+    m0 = block + b0
+    upper = free - b0
+    if not upper:
+        cand = w + best[b0]
+        if cand > best[m0]:
+            best[m0] = cand
+            choice[m0] = block
+        return
+    b1 = upper & -upper
+    upper -= b1
+    b01 = b0 + b1
+    m1 = block + b1
+    m01 = m0 + b1
+    x = upper
+    while True:
+        cand = w + best[x + b01]
+        if cand > best[x + m01]:
+            best[x + m01] = cand
+            choice[x + m01] = block
+        cand = w + best[x + b1]
+        if cand > best[x + m1]:
+            best[x + m1] = cand
+            choice[x + m1] = block
+        cand = w + best[x + b0]
+        if cand > best[x + m0]:
+            best[x + m0] = cand
+            choice[x + m0] = block
+        if not x:
+            return
+        cand = w + best[x]
+        if cand > best[x + block]:
+            best[x + block] = cand
+            choice[x + block] = block
+        x = (x - 1) & upper
 
 
 def max_partition_value(v: Game) -> BestPartition:
@@ -270,33 +256,78 @@ def max_partition_value(v: Game) -> BestPartition:
 
     Ties keep the first optimum found; blocks are tried smallest-mask first
     with the lowest remaining player pinned, so an additive game resolves to
-    all singletons.
+    all singletons.  A mask's best is the first strict maximum, over its
+    blocks B (each holding the mask's lowest player) in ascending order, of
+    ``worth[B] + best[mask - B]``, with ``best[0] = 0.0``.
 
-    Every block taken from a mask holds that mask's lowest player, so below
-    the grand coalition the recursion only reads masks without player bit 0.
-    Only those masks (the even ones, ascending) and then the full mask are
-    filled: (3^(n-1) - 1)/2 + 2^(n-1) splits instead of (3^n - 1)/2 for all
-    2^n masks, with identical values, choices and tie-breaks.
+    Below the grand coalition that recursion only reads masks without player
+    bit 0.  They are filled by pushing, in layers by their lowest player bit
+    l, from the highest bit down to bit 1: the remainders of a layer lie
+    above l and are final when it starts.  Within a layer the blocks
+    B = l + C go with C ascending, l alone first.  B's own candidate
+    ``worth[B] + 0.0`` closes B, and B is then offered to every mask B + r
+    (``_offer``).  So each mask sees its candidates in ascending block
+    order, exactly as a scan of its splits would.  Masks start at -inf, so
+    the first candidate always lands; if it is -inf itself, the choice stays
+    0, which stands for the lowest player alone.  The full mask is one plain
+    scan of its 2^(n-1) splits, its blocks being the odd masks.
 
-    Each mask's splits are scanned by ``_fill_best`` in groups of four
-    remainders over the two lowest bits of the rest; the group keeps the
-    split order and every float sum, so values and blocks are bit-identical
-    to a scan of one split at a time.
+    A block worth clearly less than its own best partition is not offered.
+    With H the Euclidean norm of the worth table (at least every |worth|)
+    and tau = 8 n^2 2^-53 H, a block with ``best[B] - worth[B] > tau`` is
+    dominated, and its candidates never are the first optimum.  Let E bound
+    the rounding error of a float sum of at most n worths (E < n^2 2^-53 H;
+    float addition errs relatively even among subnormals).  best[B] and
+    best[r] are float sums of partitions of B and r, and a mask's best is at
+    least the float sum of each of its partitions taken in the DP's order,
+    because float addition is monotone.  So best[B + r] >= best[B] +
+    best[r] - 3E, while the skipped candidate is at most worth[B] + best[r]
+    + E, and best[B] - worth[B] > tau > 4E, with room to spare for the
+    rounding of the test itself.  The candidate lies strictly below
+    best[B + r], and every value, choice, tie and zero sign is bit-identical
+    to the full scan.  The bound needs sums free of overflow; they stay
+    below 2 n H, so unless that is finite nothing is skipped.
     """
-    size = 1 << v.n
+    n = v.n
+    size = 1 << n
     worth = v.worth
-    best = [0.0] * size
+    best = [-math.inf] * size
+    best[0] = 0.0
     choice = [0] * size
-    for mask in range(2, size, 2):
-        _fill_best(mask, worth, best, choice)
-    _fill_best(size - 1, worth, best, choice)
+    # 2 n H bounds every float sum of n worths; tau = 8 n^2 2^-53 H
+    tau = 2 * n * math.hypot(*worth)
+    if tau < math.inf:
+        tau *= 4 * n * 2.0**-53
+    low = size >> 1
+    while low > 1:
+        for block in range(low, size, low + low):
+            w = worth[block]
+            cand = w + 0.0
+            if cand > best[block]:
+                best[block] = cand
+                choice[block] = block
+            elif best[block] - w > tau:
+                continue
+            free = size - low - block
+            if free:
+                _offer(block, free, w, best, choice)
+        low >>= 1
+    full = size - 1
+    top = -math.inf
+    pick = 1
+    for block in range(1, size, 2):
+        cand = worth[block] + best[full - block]
+        if cand > top:
+            top = cand
+            pick = block
+    choice[full] = pick
     blocks = []
-    mask = v.full_mask
+    mask = full
     while mask:
-        block = choice[mask]
+        block = choice[mask] or mask & -mask
         blocks.append(v.coalition(block))
         mask ^= block
-    return BestPartition(best[-1], tuple(blocks))
+    return BestPartition(top, tuple(blocks))
 
 
 def brute_force_partition_value(v: Game) -> float:

@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tugx import cli
 from tugx.axioms import ALL_AXIOMS, THEOREM_SUITES, _CHECKERS
@@ -699,3 +704,56 @@ def test_strict_fails_a_vacuous_check(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(tmp_path), "--axiom", "efficiency", "--target",
                        "ess", "--strict")
     assert code == 0 and out.startswith("[PASS] efficiency :: ess (cases=1)")
+
+
+# Worths at the edges of the float range: near overflow, subnormal, signed zero.
+_edge_worths = st.one_of(
+    st.sampled_from((
+        0.0, -0.0, 0.5, 1.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308,
+        5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    )),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _captured_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(_edge_worths, min_size=(1 << n) - 1, max_size=(1 << n) - 1)
+))
+# the DP adds 1e308 + (-1e308 + 1.0) in chain order and loses the 1.0 that
+# the enumeration's fsum keeps: the oracle reports the gap and exits 1
+@example([1e308, -1e308, -1e300, 1.0, 1e308, -1e308, 0.0])
+def test_cohesive_runs_exit_cleanly_on_edge_worths(worths):
+    # each run prints strict JSON or exits 2 with a message, never a
+    # traceback; only the oracle may exit 1, for a reported mismatch
+    n = (len(worths) + 1).bit_length() - 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        with open(path, "w") as fh:
+            fh.write(render_game_text(Game(tuple(range(1, n + 1)), (0.0, *worths))))
+        for argv in (
+            ("solve", path, "-s", "cohesive-ess[standalone]"),
+            ("solve", path, "-s", "cohesive-ps[standalone]"),
+            ("oracle", path, "--name", "partition-brute"),
+        ):
+            code, out, err = _captured_main(*argv)
+            if code == 2:
+                assert out == "" and err.startswith("error: "), argv
+                continue
+            assert err == "", argv
+            payload = json.loads(out, parse_constant=_reject_constant)
+            if argv[0] == "oracle":
+                assert code == (0 if payload["match"] else 1), argv
+            else:
+                assert code == 0, argv

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from tugx import operators
 from tugx.axioms import (
     Corpus,
     check_axiom,
@@ -365,6 +366,135 @@ _worths = st.one_of(
 def test_best_partition_matches_all_masks_reference_on_any_worths(worths):
     n = (len(worths) + 1).bit_length() - 1
     _assert_same_best_partition(Game(tuple(range(1, n + 1)), (0.0, *worths)))
+
+
+def _split_best(worth, best, mask):
+    """The reference's best over the splits of mask other than the mask
+    itself as one block; None for a single player."""
+    low = mask & -mask
+    rest = mask ^ low
+    top = None
+    sub = 0
+    while sub != rest:
+        block = sub | low
+        cand = worth[block] + best[mask ^ block]
+        if top is None or cand > top:
+            top = cand
+        sub = (sub - rest) & rest
+    return top
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+def _near_tie_game(n, rng, single, offsets):
+    """Worths set in ascending mask order: a single player's bit draws
+    single(rng, bit), a coalition is worth the best of its splits moved by a
+    drawn offset (a count of ulps, or a callable of that best), so it ties
+    with a partition of itself or just misses it; where that is not finite,
+    it draws like a single player."""
+    size = 1 << n
+    worth = [0.0] * size
+    best = [0.0] * size
+    for mask in range(1, size):
+        split = _split_best(worth, best, mask)
+        w = math.inf
+        if split is not None and math.isfinite(split):
+            offset = rng.choice(offsets)
+            w = offset(split) if callable(offset) else _ulps(split, offset)
+        if not math.isfinite(w):
+            w = single(rng, mask & -mask)
+        worth[mask] = w
+        own = w + 0.0
+        best[mask] = own if split is None or own > split else split
+    return Game(tuple(range(1, n + 1)), tuple(worth))
+
+
+def _near_tie_games(n, rng):
+    grid = (0.5, 1.5, -0.5, 0.0, 2.0 ** 52, 3 * 2.0 ** 51, 2.0 ** -30)
+    # mixed magnitudes, coalitions at their best or an ulp or two below it
+    yield _near_tie_game(
+        n, rng, lambda r, _: r.choice(grid) * 2.0 ** r.randrange(-20, 20), (0, 0, -1, -1, 1, -2)
+    )
+    # one player worth 2^52 and quarters elsewhere: a coalition a hair below
+    # its best can still win a mask with that player, when its sum rounds
+    # up past the midpoint its partition's sum rounds down to
+    top = 1 << (n - 1)
+    yield _near_tie_game(
+        n, rng, lambda r, bit: 2.0 ** 52 if bit == top else r.randrange(9) / 4,
+        (0, lambda s: s - 2.0 ** -40, lambda s: s - 2.0 ** -20, lambda s: s - 0.25),
+    )
+    # near overflow: sums leave the float range, so nothing may be skipped
+    yield _near_tie_game(
+        n, rng, lambda r, _: r.choice((-1.0, 1.0)) * r.uniform(1.0e308, 1.7e308), (0, -1, -3)
+    )
+    yield Game(tuple(range(1, n + 1)), (0.0,) + tuple(
+        rng.choice((-1.7e308, 1.7e308, -1e308, 1e308, 1.0)) for _ in range((1 << n) - 1)
+    ))
+    # subnormals, where the margin underflows with the worths
+    yield _near_tie_game(n, rng, lambda r, _: r.randrange(-40, 41) * 5e-324, (0, -1, 1, -2))
+    # signed zeros and the subnormals an ulp away from them
+    yield _near_tie_game(n, rng, lambda r, _: r.choice((0.0, -0.0)), (0, 0, -1, 1))
+
+
+def test_best_partition_matches_all_masks_reference_near_ties():
+    rng = random.Random(16)
+    for n in range(2, 11):
+        for _ in range(8 if n <= 6 else 3 if n <= 8 else 1):
+            for v in _near_tie_games(n, rng):
+                _assert_same_best_partition(v)
+
+
+def test_best_partition_breaks_a_rounding_tie_with_a_dominated_block():
+    # {2,3} is worth 2^-31 less than its singletons, yet it wins {2,3,4}:
+    # 0.5 + 2^52 rounds to even (2^52), 0.5 + 2^-40 + 2^52 rounds up, so a
+    # margin that ignores the worths' scale would skip the best block
+    v = Game.from_table([1, 2, 3, 4], {
+        (2,): 0.5, (3,): 2.0 ** -30, (2, 3): 0.5 + 2.0 ** -40, (4,): 2.0 ** 52,
+    })
+    best = max_partition_value(v)
+    assert best.value == 2.0 ** 52 + 1
+    assert best.blocks == (frozenset({1}), frozenset({2, 3}), frozenset({4}))
+    _assert_same_best_partition(v)
+
+
+def test_best_partition_offers_only_undominated_blocks(monkeypatch):
+    offered = []
+    push = operators._offer
+
+    def counting(block, *args):
+        offered.append(block)
+        push(block, *args)
+
+    monkeypatch.setattr(operators, "_offer", counting)
+    n = 10
+    size = 1 << n
+    players = tuple(range(1, n + 1))
+    singles = [(k % 3 + 1) / 4 for k in range(n)]
+
+    def additive(mask):
+        return math.fsum(singles[k] for k in range(n) if mask >> k & 1)
+
+    def subadditive(mask):
+        # 0.25 less than the singletons per player past the first
+        return additive(mask) - 0.25 * max(mask.bit_count() - 1, 0)
+
+    # every block that leaves a player above its lowest one out
+    every = sorted(b for b in range(2, size, 2) if b + (b & -b) != size)
+    for worth, want in (
+        # only single players are offered
+        (subadditive, [1 << i for i in range(1, n - 1)]),
+        # an additive game dominates nothing
+        (additive, every),
+        # near overflow the margin is off, so nothing is skipped
+        (lambda mask: 1.5e307 * subadditive(mask), every),
+    ):
+        offered.clear()
+        _assert_same_best_partition(Game(players, tuple(map(worth, range(size)))))
+        assert sorted(offered) == want
 
 
 def test_proportional_operators_reject_rounding_residue_total():
