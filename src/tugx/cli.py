@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .coalition import make_partition, solve_by_cycle_balance_induction
 from .comm import Graph, solve_by_fairness_induction
-from .errors import BadName, DomainViolation, MissingStructure, TugxError, UnknownName
+from .errors import DomainViolation, MissingStructure, TugxError
 from .games import DEFAULT_TOL, GENERAL, MAX_PLAYERS, PROFILES, Game, Tolerance, random_game
 from .io import GameFile, load_game_file, render_game_text, significant
 from .operators import (
@@ -33,10 +33,9 @@ from .operators import (
     Operator,
     brute_force_partition_value,
     max_partition_value,
-    named_graph_solution,
     named_operator,
-    named_partition_solution,
     named_solution,
+    named_target,
     wrap,
 )
 from .solutions import Allocation, allocations_close, shapley, shapley_permutation_oracle
@@ -127,30 +126,12 @@ def _structure(gf: GameFile, rule, name: str) -> tuple:
     return (found,)
 
 
-def _rule_or_operator(name: str, anchor: Game | None):
-    """A rule by that name, else an operator; a bad parameter is reported as is."""
-    for lookup in (named_solution, named_operator):
-        try:
-            return lookup(name, anchor)
-        except BadName:
-            raise
-        except UnknownName:
-            continue
-    raise UnknownName(f"no rule or operator named {name!r}")
-
-
 def _subject(args, anchor: Game | None) -> Subject:
-    """--target read as --kind says, else as a rule or failing that an
-    operator.  Inputs carry the structure --kind names, else the one the
-    target reads."""
+    """--target and the structure of its inputs, as named_target reads them
+    under --kind."""
     from .axioms import DEFAULT_POOLS, Subject
 
-    if args.kind:
-        structure, operator = SUBJECT_KINDS[args.kind]
-        target = (named_operator if operator else named_solution)(args.target, anchor)
-    else:
-        target = _rule_or_operator(args.target, anchor)
-        structure = target.reads
+    target, structure = named_target(args.target, anchor, args.kind)
     benchmark = named_solution(args.benchmark, anchor) if args.benchmark else None
     if args.pool:
         pool = tuple(named_solution(n.strip(), anchor) for n in args.pool.split(","))
@@ -321,12 +302,12 @@ def _partition_brute(gf: GameFile, args, tol: Tolerance) -> tuple:
     return max_partition_value(gf.game).value, brute_force_partition_value(gf.game)
 
 
-def _induction(lookup, default: str, op: Operator, solver, gf: GameFile, args, tol: Tolerance):
+def _induction(default: str, op: Operator, solver, gf: GameFile, args, tol: Tolerance):
     """An induction oracle: op, an ess operator that reads a structure, over
     the benchmark -f names (default when absent), against the solver that
     rebuilds that extension from its axioms."""
     s = _structure(gf, op, args.name)
-    F = lookup(args.benchmark or default)
+    F = named_solution(args.benchmark or default, reads=op.reads)
     return wrap(op, F)(gf.game, *s), solver(F, gf.game, *s, tol=tol)
 
 
@@ -337,14 +318,10 @@ _ORACLES = {
     "shapley-perm": _shapley_perm,
     "partition-brute": _partition_brute,
     "fairness-induction": lambda *a: _induction(
-        named_graph_solution, "myerson", GRAPH_ESS_OPERATOR, solve_by_fairness_induction, *a
+        "myerson", GRAPH_ESS_OPERATOR, solve_by_fairness_induction, *a
     ),
     "cycle-induction": lambda *a: _induction(
-        named_partition_solution,
-        "aumann-dreze",
-        PARTITION_ESS_OPERATOR,
-        solve_by_cycle_balance_induction,
-        *a,
+        "aumann-dreze", PARTITION_ESS_OPERATOR, solve_by_cycle_balance_induction, *a
     ),
 }
 

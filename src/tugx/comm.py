@@ -148,7 +148,8 @@ def restricted_game(v: Game, g: Graph) -> Game:
     (fsum turns -0.0 into 0.0, hence the ``+ 0.0``).  fsum is exact and
     order-independent, so every worth is bit-identical to summing the parts
     of each coalition found from scratch.  Only overflow differs: two parts
-    then add to inf, which ``Game`` rejects, where fsum raises OverflowError.
+    then add to inf, which ``Game`` rejects, where fsum raises; both are
+    OverflowError, as a valid v leaves ``Game`` nothing else to reject.
     """
     if g.players != v.players:
         raise ValueError("graph and game must share the player set")
@@ -189,7 +190,10 @@ def restricted_game(v: Game, g: Graph) -> Game:
             else:
                 parts.append(vw[joined])
                 worth[s] = fsum(parts)
-    return Game(v.players, tuple(worth))
+    try:
+        return Game(v.players, tuple(worth))
+    except ValueError:
+        raise OverflowError("a restricted worth overflows") from None
 
 
 def myerson(v: Game, g: Graph) -> Allocation:

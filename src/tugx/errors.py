@@ -1,13 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and nothing else.
 
 Everything here derives from TugxError so the command line can report the
-whole family as usage/input problems (exit status 2).  The nesting limit on
-rule names such as ``ess[ess[shapley]]`` lives here too, so that every name
-lookup shares it.
+whole family as usage/input problems (exit status 2).
 """
-
-# Deepest op[...] nesting a rule name may have; lookups recurse once per level.
-MAX_NAME_DEPTH = 32
 
 
 class TugxError(Exception):
@@ -23,12 +18,8 @@ class ParseError(TugxError):
 
 
 class UnknownName(TugxError):
-    """Name not present in the relevant registry."""
-
-
-class BadName(UnknownName):
-    """Name in a registry's spelling with an unusable part: a bad parameter
-    or nesting deeper than MAX_NAME_DEPTH."""
+    """Name that no registry resolves: unknown, malformed, or with an
+    unusable part."""
 
 
 class MissingStructure(TugxError):
@@ -42,10 +33,3 @@ class IncompatibleSubject(TugxError):
 class InconsistentSystem(TugxError):
     """Reconstruction equations disagree beyond tolerance."""
 
-
-def check_name_depth(name: str) -> None:
-    """Raise BadName when the name nests deeper than MAX_NAME_DEPTH."""
-    if name.count("[") > MAX_NAME_DEPTH:
-        raise BadName(
-            f"rule name nests deeper than {MAX_NAME_DEPTH} levels: {name[:40]}..."
-        )

@@ -13,8 +13,13 @@ benchmark f alone, so one operator serves plain games, communication graphs
 and coalition structures: the efficient extensions of the Myerson and
 Aumann-Dreze values are the ess operator over those benchmarks, and the equal
 surplus sharing and proportional sharing values are the ess and ps operators
-over the stand-alone worths.  This module also resolves every rule name,
-``op[inner]`` nesting included.
+over the stand-alone worths.
+
+This module is the one name resolver of every command: named_solution
+reads rules, ``op[inner]`` nesting included, named_operator operators, and
+named_target a check target, which is a rule whenever a rule can have its
+name (any bracketed name can).  A refused name raises UnknownName for the
+part that fails, so every command prints the same line for it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Any, Callable, NamedTuple
 
 from .coalition import AUMANN_DREZE, PARTITION
 from .comm import GRAPH, MYERSON_SOLUTION
-from .errors import BadName, DomainViolation, UnknownName, check_name_depth
+from .errors import DomainViolation, UnknownName
 from .games import DEFAULT_TOL, Game
 from .memo import reuse
 from .solutions import (
@@ -487,7 +492,7 @@ def named_operator(name: str, anchor: Game | None = None) -> Operator:
         try:
             return weighted_operator(float(name.split(":", 1)[1]))
         except ValueError:
-            raise BadName(f"bad blend parameter in {name!r}") from None
+            raise UnknownName(f"bad blend parameter in {name!r}") from None
     raise UnknownName(f"no operator named {name!r}")
 
 
@@ -514,11 +519,16 @@ _ALIASES = {
     "ee-ad": "ee-aumann-dreze",
 }
 
+# Deepest op[...] nesting a rule name may have; the lookup recurses once per level.
+MAX_NAME_DEPTH = 32
 
-def named_solution(name: str, anchor: Game | None = None) -> Solution:
-    """The one name resolver: base rules of every structure, constant:<c>,
-    and op[inner] for any operator named_operator knows."""
-    check_name_depth(name)
+
+def _find_rule(name: str, anchor: Game | None) -> Solution | None:
+    """The rule by that name, or None if no rule can have it: the name is
+    no registry name or alias, not constant:<c>, and holds no bracket.  A
+    rule name with an unusable part raises UnknownName naming that part."""
+    if name.count("[") > MAX_NAME_DEPTH:
+        raise UnknownName(f"rule name nests deeper than {MAX_NAME_DEPTH} levels: {name[:40]}...")
     key = _ALIASES.get(name, name)
     if key in _SOLUTIONS:
         return _SOLUTIONS[key]
@@ -526,26 +536,47 @@ def named_solution(name: str, anchor: Game | None = None) -> Solution:
         try:
             return constant_solution(float(key.split(":", 1)[1]))
         except ValueError:
-            raise BadName(f"bad constant payoff in {name!r}") from None
-    if key.endswith("]") and "[" in key:
-        op_name, inner = key[:-1].split("[", 1)
-        return wrap(named_operator(op_name, anchor), named_solution(inner, anchor))
-    raise UnknownName(f"no solution named {name!r}")
+            raise UnknownName(f"bad constant payoff in {name!r}") from None
+    if "[" not in key:
+        return None
+    if not key.endswith("]"):
+        raise UnknownName(f"no solution named {name!r}")
+    op_name, inner = key[:-1].split("[", 1)
+    return wrap(named_operator(op_name, anchor), named_solution(inner, anchor))
 
 
-def _reading(rule: Solution, structure: Structure) -> Solution:
-    if rule.reads not in (None, structure):
-        raise UnknownName(
-            f"{rule.name!r} reads a {rule.reads.name}, not a {structure.name}"
-        )
+def named_solution(
+    name: str, anchor: Game | None = None, reads: Structure | None = None
+) -> Solution:
+    """The rule by that name: base rules of every structure, constant:<c>,
+    and op[inner] for any operator named_operator knows.  Given ``reads``,
+    a rule that reads another structure is refused."""
+    rule = _find_rule(name, anchor)
+    if rule is None:
+        raise UnknownName(f"no solution named {name!r}")
+    if reads is not None and rule.reads not in (None, reads):
+        raise UnknownName(f"{rule.name!r} reads a {rule.reads.name}, not a {reads.name}")
     return rule
+
+
+def named_target(
+    name: str, anchor: Game | None = None, kind: str | None = None
+) -> tuple[Solution | Operator, Structure | None]:
+    """A check target and the structure its inputs carry: read as the
+    SUBJECT_KINDS entry of kind says, else as a rule if a rule can have the
+    name and as an operator if not, over the structure the target reads."""
+    if kind is not None:
+        structure, operator = SUBJECT_KINDS[kind]
+        return (named_operator if operator else named_solution)(name, anchor), structure
+    target = _find_rule(name, anchor) or named_operator(name, anchor)
+    return target, target.reads
 
 
 def named_graph_solution(name: str) -> Solution:
     """named_solution, limited to rules that run on a game with a graph."""
-    return _reading(named_solution(name), GRAPH)
+    return named_solution(name, reads=GRAPH)
 
 
 def named_partition_solution(name: str) -> Solution:
     """named_solution, limited to rules that run on a game with a partition."""
-    return _reading(named_solution(name), PARTITION)
+    return named_solution(name, reads=PARTITION)

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import tempfile
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from tugx import cli
 from tugx.axioms import ALL_AXIOMS, THEOREM_SUITES, _CHECKERS
 from tugx.cli import main
-from tugx.comm import empty_graph
+from tugx.coalition import make_partition
+from tugx.comm import Graph, empty_graph
 from tugx.errors import UnknownName
 from tugx.games import Game
 from tugx.io import load_game_file, render_game_text, significant
@@ -172,7 +174,7 @@ def test_non_finite_payoffs_exit_2(capsys, tmp_path):
         )
         code, out, err = run(capsys, "solve", str(lone), "-s", "myerson")
         assert code == 2 and out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: a sum leaves the float range")
 
 
 def test_check_with_non_finite_payoffs_exits_2(capsys, tmp_path):
@@ -757,3 +759,57 @@ def test_cohesive_runs_exit_cleanly_on_edge_worths(worths):
                 assert code == (0 if payload["match"] else 1), argv
             else:
                 assert code == 0, argv
+
+
+# Runs over a game file with a graph and a partition: the remaining rules
+# and oracles.
+_STRUCTURED_RUNS = (
+    ("solve", "-s", "ee-myerson"),
+    ("solve", "-s", "ee-aumann-dreze"),
+    ("solve", "-s", "ps"),
+    ("solve", "-s", "weighted:0.5[standalone]"),
+    ("solve", "--operator", "ps", "-f", "shapley"),
+    ("oracle", "--name", "shapley-perm"),
+    ("oracle", "--name", "fairness-induction"),
+    ("oracle", "--name", "cycle-induction"),
+)
+
+
+@st.composite
+def _structured_games(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    players = tuple(range(1, n + 1))
+    worths = draw(st.lists(_edge_worths, min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    pairs = list(combinations(players, 2))
+    linked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks: dict[int, list[int]] = {}
+    for p, label in zip(players, labels):
+        blocks.setdefault(label, []).append(p)
+    return render_game_text(
+        Game(players, (0.0, *worths)),
+        graph=Graph(players, frozenset(p for p, on in zip(pairs, linked) if on)),
+        partition=make_partition(blocks.values(), players),
+    )
+
+
+@settings(max_examples=60)
+@given(_structured_games())
+def test_structured_runs_exit_cleanly_on_edge_worths(text):
+    # strict JSON, an oracle's reported mismatch, or one error line that
+    # does not blame the file for a sum the program overflowed
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for cmd, *rest in _STRUCTURED_RUNS:
+            argv = (cmd, path, *rest)
+            code, out, err = _captured_main(*argv)
+            if code == 2:
+                assert out == "" and err.startswith("error: "), argv
+                assert err.count("\n") == 1, argv
+                assert "coalition worths must be finite" not in err, argv
+                continue
+            assert err == "", argv
+            payload = json.loads(out, parse_constant=_reject_constant)
+            assert code == (1 if cmd == "oracle" and not payload["match"] else 0), argv

@@ -1,5 +1,6 @@
 """Source checks that need no linter: every module of the package uses
-each name it imports."""
+each name it imports, and every private top-level name is used somewhere in
+the package outside its own definition."""
 
 import ast
 import pathlib
@@ -32,3 +33,54 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _defined_private(node: ast.stmt) -> list[str]:
+    """The private, non-dunder names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _mentions(node: ast.AST) -> set[str]:
+    """Names a statement reads, as a name, an attribute or an import."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def dead_private_names(sources: list[str]) -> list[str]:
+    """Private top-level names of the sources that no statement mentions
+    except the one that defines them, sorted."""
+    statements = [node for source in sources for node in ast.parse(source).body]
+    mentions = [_mentions(node) for node in statements]
+    dead = []
+    for k, node in enumerate(statements):
+        for name in _defined_private(node):
+            if not any(name in m for j, m in enumerate(mentions) if j != k):
+                dead.append(name)
+    return sorted(dead)
+
+
+def test_dead_private_names_are_found():
+    sources = [
+        "def _used(): pass\ndef _rec(): _rec()\n_TABLE = {}\nclass __Dunder__: pass\n",
+        "from m import _used\nimport x\nx._TABLE\n_gone = 1\n",
+    ]
+    assert dead_private_names(sources) == ["_gone", "_rec"]
+
+
+def test_no_dead_private_names():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert dead_private_names(sources) == []
