@@ -41,7 +41,8 @@ from .coalition import (
     PARTITION,
     Partition,
     block_of,
-    cycle_balance_sides,
+    cycle_sums,
+    removal_outcomes,
     split_off,
 )
 from .comm import GRAPH, MYERSON_SOLUTION, Graph, all_graphs, components
@@ -376,13 +377,17 @@ def _pool(subject: Subject) -> tuple:
     return subject.pool
 
 
+def _scale(outs: Iterable[Allocation]) -> float:
+    """The size of the rounding in payoffs from the allocations outs: the
+    largest ``fsum(|x_i|)``, since payoffs that cancel leave rounding of
+    their own size, not of the result's."""
+    return max(math.fsum(map(abs, out.values)) for out in outs)
+
+
 def _agree(tol: Tolerance, a: float, b: float, *outs: Allocation) -> bool:
     """Whether two sums or differences of payoffs agree, to within rounding
-    of the payoffs they come from: the tolerance scales with the largest
-    ``fsum(|x_i|)`` over the allocations outs, since payoffs that cancel
-    leave rounding of their own size, not of the result's."""
-    scale = max(math.fsum(map(abs, out.values)) for out in outs)
-    return tol.eq(a, b, scale)
+    of the payoffs they come from: the tolerance scales with ``_scale(outs)``."""
+    return tol.eq(a, b, _scale(outs))
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +622,22 @@ def _cycle_orders(block: frozenset[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _cyclic_removal_balance(subject, corpus, tol):
+    """Every removal cycle of every block balances.  A block's cycles share
+    its k removal outcomes, evaluated at its first order; while those leave
+    the rule's domain, each order counts one skipped evaluation."""
     phi = subject.target
     for v, P in corpus.partitioned:
         for block in P:
+            outcomes = _SKIPPED
             for order in _cycle_orders(block):
-                sides = yield lambda: cycle_balance_sides(phi, v, P, block, order)
-                if sides is _SKIPPED:
-                    continue
-                succ, pred, outs = sides
-                yield None if _agree(tol, succ, pred, *outs) else _witness(
+                if outcomes is _SKIPPED:
+                    outcomes = yield lambda: removal_outcomes(phi, v, P, block)
+                    if outcomes is _SKIPPED:
+                        continue
+                    scale = _scale(outcomes.values())
+                    payoffs = {j: out.as_dict() for j, out in outcomes.items()}
+                succ, pred = cycle_sums(payoffs, order)
+                yield None if tol.eq(succ, pred, scale) else _witness(
                     v, P, order=list(order), residual=succ - pred
                 )
 
@@ -858,11 +870,16 @@ def _rbcc_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
         if v.n > 4:
             continue
         for block in P:
+            if len(block) < 2:
+                continue
+            ad = removal_outcomes(AUMANN_DREZE, v, P, block)
+            ext = removal_outcomes(_AD_EXTENSION, v, P, block)
+            scale = _scale([*ad.values(), *ext.values()])
             for order in _cycle_orders(block):
-                s0, p0, outs0 = cycle_balance_sides(AUMANN_DREZE, v, P, block, order)
-                s1, p1, outs1 = cycle_balance_sides(_AD_EXTENSION, v, P, block, order)
+                s0, p0 = cycle_sums(ad, order)
+                s1, p1 = cycle_sums(ext, order)
                 r0, r1 = s0 - p0, s1 - p1
-                yield None if _agree(tol, r1, r0, *outs0, *outs1) else _witness(
+                yield None if tol.eq(r1, r0, scale) else _witness(
                     v, P, order=list(order), lhs=r1, rhs=r0
                 )
 

@@ -449,7 +449,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (`tugx check ... | head -1`).  Point the
+        # descriptor at devnull so the interpreter's final flush succeeds,
+        # and exit as a process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (TugxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,25 @@
 """Games played under a coalition structure.
 
 A partition groups the players into disjoint blocks.  Rules that read
-``PARTITION`` take a game together with a partition of its players.  The
-induction solver reconstructs the equal-surplus extension of a benchmark
-from removal cycles on a null-extended game plus block-sum constraints.
-Its block arithmetic, ``settle_blocks`` and ``slack``, is shared with the
-fairness induction solver of ``comm``.
+``PARTITION`` take a game together with a partition of its players.  A
+block of k players has (k - 1)! removal cycles but only k removals:
+``removal_outcomes`` evaluates each removal once, and ``cycle_sums`` takes
+any cycle's two sums from those outcomes.  ``aumann_dreze`` reuses its
+results within an axiom check (see ``memo``).  The induction solver
+reconstructs the equal-surplus extension of a benchmark from removal
+cycles on a null-extended game plus block-sum constraints.  Its block
+arithmetic, ``settle_blocks`` and ``slack``, is shared with the fairness
+induction solver of ``comm``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainViolation, InconsistentSystem
 from .games import DEFAULT_TOL, Game, Tolerance, _relabel, subgame
+from .memo import reuse
 from .solutions import Allocation, Solution, Structure, shapley
 
 Partition = tuple[frozenset[int], ...]
@@ -48,6 +53,7 @@ def block_of(P: Partition, i: int) -> frozenset[int]:
     raise ValueError(f"player {i} is in no block")
 
 
+@reuse
 def aumann_dreze(v: Game, P: Partition) -> Allocation:
     """Shapley payoffs computed inside each block's subgame."""
     payoffs: dict[int, float] = {}
@@ -103,6 +109,28 @@ def extend_with_null(
     return _relabel(v, players, bits), make_partition(blocks, players), nid
 
 
+def removal_outcomes(
+    F: PartitionBenchmark, v: Game, P: Partition, block: Iterable[int]
+) -> dict[int, Allocation]:
+    """F after each member of a block is removed, keyed by the removed
+    member and evaluated in sorted member order: the k outcomes every
+    removal cycle around the block takes its terms from."""
+    return {j: F(*remove_player(v, P, j)) for j in sorted(block)}
+
+
+def cycle_sums(
+    payoffs: Mapping[int, Allocation | Mapping[int, float]], order: Sequence[int]
+) -> tuple[float, float]:
+    """The two sums of the removal cycle ``order``, where ``payoffs[j][i]``
+    is i's payoff once j is removed, as in ``removal_outcomes``: each
+    member's payoff after their cyclic successor is removed, and after
+    their predecessor is."""
+    cycle = tuple(order)
+    succ = math.fsum(payoffs[j][i] for i, j in zip(cycle, cycle[1:] + cycle[:1]))
+    pred = math.fsum(payoffs[j][i] for i, j in zip(cycle, cycle[-1:] + cycle[:-1]))
+    return succ, pred
+
+
 def cycle_balance_sides(
     F: PartitionBenchmark,
     v: Game,
@@ -124,20 +152,10 @@ def cycle_balance_sides(
     cycle = tuple(order) if order is not None else tuple(sorted(blk))
     if set(cycle) != blk or len(cycle) != len(blk):
         raise ValueError("order must list each block member exactly once")
-    k = len(cycle)
-    if k == 1:
+    if len(cycle) == 1:
         return 0.0, 0.0, ()
-    outs = []
-    succ_terms = []
-    pred_terms = []
-    for l in range(k):
-        keeper = cycle[l]
-        after_succ = F(*remove_player(v, P, cycle[(l + 1) % k]))
-        succ_terms.append(after_succ[keeper])
-        after_pred = F(*remove_player(v, P, cycle[(l - 1) % k]))
-        pred_terms.append(after_pred[keeper])
-        outs += (after_succ, after_pred)
-    return math.fsum(succ_terms), math.fsum(pred_terms), tuple(outs)
+    outcomes = removal_outcomes(F, v, P, blk)
+    return (*cycle_sums(outcomes, cycle), tuple(outcomes.values()))
 
 
 def cycle_balance_residual(

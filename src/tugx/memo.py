@@ -2,16 +2,18 @@
 
 An axiom check evaluates rules on many inputs that share games: the
 Aumann-Dreze value of every partition of a game takes subgames the other
-partitions took too, and every benchmark of a pool restricts the same game
-by the same graph.  While a check runs (``axioms._drive`` holds ``scope``),
-a kernel decorated with ``reuse`` looks its result up here first and runs
-only on a miss.  Outside a check nothing is stored and every kernel runs.
+partitions took too, the rules an operator check compares ask for the
+Aumann-Dreze payoffs of one game and partition again and again, and every
+benchmark of a pool restricts the same game by the same graph.  While a
+check runs (``axioms._drive`` holds ``scope``), a kernel decorated with
+``reuse`` looks its result up here first and runs only on a miss.  Outside
+a check nothing is stored and every kernel runs.
 
 A result is keyed by the kernel, the game's players, the exact bytes of its
-worth table and the kernel's other arguments (a coalition mask, a graph).
-Keying by bytes rather than by float equality keeps apart games that are
-``==`` but differ in the sign of a zero, so a reused result is bit-identical
-to a fresh run.  The bytes are taken once per game object.
+worth table and the kernel's other arguments (a coalition mask, a graph, a
+partition).  Keying by bytes rather than by float equality keeps apart
+games that are ``==`` but differ in the sign of a zero, so a reused result
+is bit-identical to a fresh run.  The bytes are taken once per game object.
 
 The memo holds at most ``_BUDGET`` worth-table cells, counting the byte
 tables it has taken and the games it has stored; an entry that would pass

@@ -1,6 +1,8 @@
+import json
 import math
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 from test_memo import _wide_corpus
@@ -18,10 +20,10 @@ from tugx.axioms import (
     partition_subject,
     value_subject,
 )
-from tugx.coalition import AUMANN_DREZE
+from tugx.coalition import AUMANN_DREZE, PARTITION, remove_player
 from tugx.comm import MYERSON_SOLUTION
 from tugx.errors import IncompatibleSubject, UnknownName
-from tugx.games import POSITIVE_SINGLETONS, Game, Tolerance, is_null_player
+from tugx.games import POSITIVE_SINGLETONS, Game, Tolerance, is_null_player, random_game
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
@@ -32,11 +34,13 @@ from tugx.operators import (
     GRAPH_ESS_OPERATOR,
     Operator,
     PS_VALUE,
+    PARTITION_ESS_OPERATOR,
     anchored_ess_operator,
     max_partition_value,
+    named_solution,
     wrap,
 )
-from tugx.solutions import SHAPLEY, STAND_ALONE, ZERO, Allocation, Solution
+from tugx.solutions import SHAPLEY, STAND_ALONE, ZERO, Allocation, Solution, freeze_solution
 
 EXACT = Tolerance(0.0, 0.0)
 
@@ -348,3 +352,110 @@ def test_corpus_samples_partitions_of_twelve_players_quickly():
     assert time.monotonic() - t0 < 1.0
     # the random game and the structured game, 15 partitions each
     assert sum(1 for v, _ in corpus.partitioned if v.n == 12) == 2 * 15
+
+
+def _per_order_sides(F, v, P, cycle):
+    """Both sums of one removal cycle as the checkers once took them: every
+    order evaluates F after each removal twice, 2k evaluations."""
+    k, succ, pred, outs = len(cycle), [], [], []
+    for l, keeper in enumerate(cycle):
+        after_succ = F(*remove_player(v, P, cycle[(l + 1) % k]))
+        after_pred = F(*remove_player(v, P, cycle[(l - 1) % k]))
+        succ.append(after_succ[keeper])
+        pred.append(after_pred[keeper])
+        outs += (after_succ, after_pred)
+    return math.fsum(succ), math.fsum(pred), outs
+
+
+def _per_order_cyclic(subject, corpus, tol):
+    phi = subject.target
+    for v, P in corpus.partitioned:
+        for block in P:
+            for order in axioms._cycle_orders(block):
+                sides = yield lambda: _per_order_sides(phi, v, P, order)
+                if sides is axioms._SKIPPED:
+                    continue
+                succ, pred, outs = sides
+                yield None if axioms._agree(tol, succ, pred, *outs) else axioms._witness(
+                    v, P, order=list(order), residual=succ - pred
+                )
+
+
+def _per_order_rbcc(corpus, tol):
+    for v, P in corpus.partitioned:
+        if v.n > 4:
+            continue
+        for block in P:
+            for order in axioms._cycle_orders(block):
+                s0, p0, outs0 = _per_order_sides(AUMANN_DREZE, v, P, order)
+                s1, p1, outs1 = _per_order_sides(axioms._AD_EXTENSION, v, P, order)
+                r0, r1 = s0 - p0, s1 - p1
+                yield None if axioms._agree(tol, r1, r0, *outs0, *outs1) else axioms._witness(
+                    v, P, order=list(order), lhs=r1, rhs=r0
+                )
+
+
+def _cyclic_corpora(wide_game):
+    yield Corpus.build(sizes=(2, 3, 4, 5, 6), per_size=1, seed=1)
+    yield Corpus.build(sizes=(2, 3, 4, 5, 6), per_size=1, seed=5)
+    yield Corpus.build(sizes=(2, 3, 4, 5), per_size=2, seed=3, profile=POSITIVE_SINGLETONS)
+    yield _wide_corpus(wide_game)
+
+
+def test_removal_cycles_report_as_when_every_order_evaluated_its_removals(wide_game):
+    tol = Tolerance()
+    # under a loose tolerance, the case a rule fails at depends on the
+    # tolerance scale as well as on the sums
+    loose = Tolerance(0.0, 1.0)
+    seen = Counter()
+    for corpus in _cyclic_corpora(wide_game):
+        v0, P0 = corpus.partitioned[0]
+        frozen = wrap(PARTITION_ESS_OPERATOR, freeze_solution(AUMANN_DREZE, v0, P0))
+        ad, ee, weighted, ps = [named_solution(name) for name in (
+            "aumann-dreze", "ee-aumann-dreze", "weighted:0.5[aumann-dreze]", "ps[ee-aumann-dreze]"
+        )]
+        flavours = ("cyclic-removal-balance", "cyclic-removal-balance-at-game")
+        cases = [
+            *product((ad, ee, weighted, ps, frozen), flavours, (tol,)),
+            (weighted, "cyclic-removal-balance", loose),
+        ]
+        for rule, axiom, at in cases:
+            subject = partition_subject(rule)
+            want = axioms._drive(axiom, rule.name, _per_order_cyclic(subject, corpus, at))
+            got = check_axiom(axiom, subject, corpus, at)
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            seen[got.verdict, "skipped" in got.note] += 1
+        (row,) = [
+            r for r in check_theorem_suite("partition-operators", corpus)
+            if r.axiom == "cyclic-removal-balance-at-game"
+        ]
+        note = "residuals preserved under the extension"
+        want = axioms._drive(row.axiom, row.subject, _per_order_rbcc(corpus, tol), note)
+        assert json.dumps(row.to_dict()) == json.dumps(want.to_dict())
+    # the targets pass, fail and skip evaluations
+    assert seen["pass", False] and seen["fail", False] and seen["pass", True]
+
+
+def _counting_aumann_dreze(calls: list) -> Solution:
+    def counted(v, P):
+        calls.append((v.players, P))
+        return AUMANN_DREZE(v, P)
+
+    return Solution("counted-aumann-dreze", counted, reads=PARTITION)
+
+
+def test_removal_cycles_evaluate_each_removal_once_per_block():
+    players = tuple(range(1, 7))
+    v = random_game(players, seed=6)
+    P = (frozenset(players),)
+    calls = []
+    report = check_axiom(
+        "cyclic-removal-balance",
+        partition_subject(_counting_aumann_dreze(calls)),
+        Corpus((), (), ((v, P),)),
+    )
+    assert report.passed and report.cases == math.factorial(5)
+    # one evaluation per removed member, where every order evaluating its
+    # own 2k removals would make 5! * 12 = 1,440
+    assert len(calls) == 6
+    assert sorted(set(players) - set(p) for p, _ in calls) == [{i} for i in players]

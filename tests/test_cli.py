@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 from itertools import combinations
 
@@ -16,7 +19,7 @@ from tugx.cli import main
 from tugx.coalition import make_partition
 from tugx.comm import Graph, empty_graph
 from tugx.errors import UnknownName
-from tugx.games import Game
+from tugx.games import Game, random_game
 from tugx.io import load_game_file, render_game_text, significant
 from tugx.operators import (
     brute_force_partition_value,
@@ -422,6 +425,42 @@ def test_check_directory_corpus(capsys, tmp_path, fixture_dir):
         capsys, "check", str(tmp_path), "--axiom", "efficiency", "--target", "ess"
     )
     assert code == 0 and "[PASS] efficiency :: ess (cases=4)" in out
+
+
+def test_check_one_block_of_eight_players(capsys, tmp_path):
+    # 7! removal cycles share the block's 8 removals
+    players = tuple(range(1, 9))
+    v = random_game(players, seed=8)
+    (tmp_path / "block.json").write_text(render_game_text(v, partition=[players]))
+    code, out, err = run(
+        capsys, "check", str(tmp_path), "--axiom", "cyclic-removal-balance",
+        "--target", "ee-aumann-dreze",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        "[PASS] cyclic-removal-balance :: ee-aumann-dreze (cases=5040)"
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_as_on_sigpipe(fixture_dir, unbuffered):
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    # buffered, the report reaches the closed pipe only when stdout is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    p = subprocess.Popen(
+        [sys.executable, "-m", "tugx", "check", str(fixture_dir), "--suite", "partition-extension"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    p.stdout.close()  # long before the interpreter has started and written
+    err = p.stderr.read()
+    p.stderr.close()
+    assert (p.wait(timeout=120), err) == (141, b"")
 
 
 def test_check_operator_kind(capsys):

@@ -9,6 +9,7 @@ from tugx.coalition import (
     aumann_dreze,
     block_of,
     cycle_balance_residual,
+    cycle_balance_sides,
     extend_with_null,
     make_partition,
     remove_player,
@@ -129,6 +130,27 @@ def test_singleton_residual_needs_no_evaluation(trio, pair_block):
     sol = Solution("loud", loud, reads=PARTITION)
     assert cycle_balance_residual(sol, trio, pair_block, frozenset({3})) == 0.0
     assert not calls
+
+
+def test_cycle_sides_evaluate_each_removal_once():
+    players = (1, 2, 3, 4, 5)
+    v = random_game(players, seed=4)
+    P = make_partition([[1, 2, 4, 5], [3]], players)
+    calls = []
+
+    def counted(w, Q):
+        calls.append(w.players)
+        return AUMANN_DREZE(w, Q)
+
+    sol = Solution("counted", counted, reads=PARTITION)
+    succ, pred, outs = cycle_balance_sides(sol, v, P, [1, 2, 4, 5], order=(1, 4, 2, 5))
+    # one evaluation per member, in sorted member order
+    assert calls == [(2, 3, 4, 5), (1, 3, 4, 5), (1, 2, 3, 5), (1, 2, 3, 4)]
+    assert outs == tuple(AUMANN_DREZE(*remove_player(v, P, j)) for j in (1, 2, 4, 5))
+    after = dict(zip((1, 2, 4, 5), outs))
+    cycle = (1, 4, 2, 5)
+    assert succ == math.fsum(after[cycle[(l + 1) % 4]][i] for l, i in enumerate(cycle))
+    assert pred == math.fsum(after[cycle[l - 1]][i] for l, i in enumerate(cycle))
 
 
 @given(seeds, st.integers(min_value=2, max_value=4))

@@ -12,6 +12,7 @@ import pytest
 from tugx import memo
 from tugx.axioms import Corpus, THEOREM_SUITES, check_axiom, check_theorem_suite, value_subject
 from tugx.cli import main
+from tugx.coalition import aumann_dreze, make_partition
 from tugx.comm import Graph, all_graphs, complete_graph, restricted_game
 from tugx.games import POSITIVE_SINGLETONS, Game, iter_set_partitions, subgame
 from tugx.operators import best_partition_worth
@@ -166,3 +167,21 @@ def test_tugx_logger_is_silent_until_asked(caplog):
     assert record.getMessage() == (
         f"memo of efficiency :: shapley-twice: shapley {n} hits/{n} misses, 0 clears"
     )
+
+
+def test_aumann_dreze_is_reused_by_worth_bytes_and_partition(caplog):
+    v = Game.from_table([1, 2, 3], {(1,): 2.0, (1, 2): 1.0, (1, 2, 3): 4.0})
+    plus, minus = _zero_twin(v, 2)
+    P = make_partition([[1, 3], [2]], v.players)
+    fresh = [aumann_dreze(w, P).values for w in (plus, minus)]
+    assert aumann_dreze(plus, P) is not aumann_dreze(plus, P)
+    with caplog.at_level(logging.DEBUG, logger="tugx"), memo.scope("test"):
+        first = aumann_dreze(plus, P)
+        assert aumann_dreze(Game(plus.players, plus.worth), P) is first
+        # the twins are == but their worth bytes differ: two entries
+        twin = aumann_dreze(minus, P)
+        for out, alone in zip((first, twin), fresh):
+            assert [x.hex() for x in out.values] == [x.hex() for x in alone]
+        assert memo._memo.hits["aumann_dreze"] == 1
+        assert memo._memo.misses["aumann_dreze"] == 2
+    assert "aumann_dreze 1 hits/2 misses" in caplog.text
