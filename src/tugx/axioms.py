@@ -621,10 +621,25 @@ def _cycle_orders(block: frozenset[int]) -> Iterator[tuple[int, ...]]:
             yield (first,) + tail
 
 
-def _cyclic_removal_balance(subject, corpus, tol):
+# The most removal cycles _cyclic_removal_balance runs for one block: 9!,
+# the orders of a block of 10 members.  A block of 11 has ten times as many.
+_MAX_CYCLE_ORDERS = math.factorial(9)
+
+
+def _cyclic_removal_balance(subject, corpus, tol, axiom):
     """Every removal cycle of every block balances.  A block's cycles share
     its k removal outcomes, evaluated at its first order; while those leave
-    the rule's domain, each order counts one skipped evaluation."""
+    the rule's domain, each order counts one skipped evaluation.  A corpus
+    with a block of more than _MAX_CYCLE_ORDERS orders is refused before
+    anything is evaluated."""
+    for v, P in corpus.partitioned:
+        for block in P:
+            orders = math.factorial(len(block) - 1)
+            if orders > _MAX_CYCLE_ORDERS:
+                raise ValueError(
+                    f"{axiom}: block {tuple(sorted(block))} has {orders:,} removal cycles; "
+                    f"the check runs at most {_MAX_CYCLE_ORDERS:,} (blocks of up to 10 members)"
+                )
     phi = subject.target
     for v, P in corpus.partitioned:
         for block in P:
@@ -809,8 +824,10 @@ _CHECKERS: dict[str, tuple[tuple[str, ...], Callable[..., _Checker], dict]] = {
         {"share": "benchmark"},
     ),
     "split-off-balance": (_PART, _split_off_balance, {}),
-    "cyclic-removal-balance": (_PART, _cyclic_removal_balance, {}),
-    "cyclic-removal-balance-at-game": (_PART, _cyclic_removal_balance, {}),
+    **{
+        axiom: (_PART, _cyclic_removal_balance, {"axiom": axiom})
+        for axiom in ("cyclic-removal-balance", "cyclic-removal-balance-at-game")
+    },
     "null-player-gap": (_PART, _null_player_gap, {}),
     "relative-block-surplus-fairness": (_PART, _part_totals, {"share": "benchmark"}),
     "operator-equal-treatment": (_OPS, _op_equal_treatment, {}),

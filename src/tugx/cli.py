@@ -196,7 +196,8 @@ def _cmd_solve(args) -> int:
     f = named_solution(name, anchor)
     sol = wrap(named_operator(args.operator, anchor), f) if args.operator else f
     v = gf.game
-    structure = _structure(gf, sol, name)
+    # under --operator the composed rule is the one that needs the structure
+    structure = _structure(gf, sol, sol.name if args.operator else name)
     if not args.operator:
         out = sol(v, *structure)
         _emit(

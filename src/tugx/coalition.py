@@ -2,19 +2,21 @@
 
 A partition groups the players into disjoint blocks.  Rules that read
 ``PARTITION`` take a game together with a partition of its players.  A
-block of k players has (k - 1)! removal cycles but only k removals:
-``removal_outcomes`` evaluates each removal once, and ``cycle_sums`` takes
-any cycle's two sums from those outcomes.  ``aumann_dreze`` reuses its
-results within an axiom check (see ``memo``).  The induction solver
-reconstructs the equal-surplus extension of a benchmark from removal
-cycles on a null-extended game plus block-sum constraints.  Its block
-arithmetic, ``settle_blocks`` and ``slack``, is shared with the fairness
-induction solver of ``comm``.
+block of k players has (k - 1)! removal cycles but only k removals, and
+``removal_outcomes`` evaluates each once: the cyclic-removal-balance
+check, ``cycle_balance_residual`` and the induction solver all take their
+terms from it, and ``cycle_sums`` any cycle's two sums.  ``aumann_dreze``
+reuses its results within an axiom check (see ``memo``).  The induction
+solver reconstructs the equal-surplus extension of a benchmark from
+removal cycles on a null-extended game plus block-sum constraints.  Its
+block arithmetic, ``settle_blocks`` and ``slack``, is shared with the
+fairness induction solver of ``comm``.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainViolation, InconsistentSystem
@@ -131,33 +133,6 @@ def cycle_sums(
     return succ, pred
 
 
-def cycle_balance_sides(
-    F: PartitionBenchmark,
-    v: Game,
-    P: Partition,
-    block: Iterable[int],
-    order: Sequence[int] | None = None,
-) -> tuple[float, float, tuple[Allocation, ...]]:
-    """The two sums of a removal cycle around a block, and the allocations
-    their terms come from.
-
-    The first sum adds each member's payoff after their cyclic successor is
-    removed, the second the same with predecessors removed; F is balanced
-    around the block when they agree.  Single-member blocks are balanced by
-    definition and skip evaluation.
-    """
-    blk = frozenset(block)
-    if blk not in set(P):
-        raise DomainViolation(f"{tuple(sorted(blk))} is not a block")
-    cycle = tuple(order) if order is not None else tuple(sorted(blk))
-    if set(cycle) != blk or len(cycle) != len(blk):
-        raise ValueError("order must list each block member exactly once")
-    if len(cycle) == 1:
-        return 0.0, 0.0, ()
-    outcomes = removal_outcomes(F, v, P, blk)
-    return (*cycle_sums(outcomes, cycle), tuple(outcomes.values()))
-
-
 def cycle_balance_residual(
     F: PartitionBenchmark,
     v: Game,
@@ -166,8 +141,17 @@ def cycle_balance_residual(
     order: Sequence[int] | None = None,
 ) -> float:
     """Removal-cycle imbalance of F around a block, 0 when balanced: the
-    difference of the two sums of ``cycle_balance_sides``."""
-    succ, pred, _ = cycle_balance_sides(F, v, P, block, order)
+    difference of the two ``cycle_sums`` of the order (sorted members by
+    default).  Single-member blocks are balanced and skip evaluation."""
+    blk = frozenset(block)
+    if blk not in set(P):
+        raise DomainViolation(f"{tuple(sorted(blk))} is not a block")
+    cycle = tuple(order) if order is not None else tuple(sorted(blk))
+    if set(cycle) != blk or len(cycle) != len(blk):
+        raise ValueError("order must list each block member exactly once")
+    if len(cycle) == 1:
+        return 0.0
+    succ, pred = cycle_sums(removal_outcomes(F, v, P, blk), cycle)
     return succ - pred
 
 
@@ -226,30 +210,25 @@ def solve_by_cycle_balance_induction(
         if k == 1:
             return [0.0]
         w, wP, nid = extend_with_null(v, part, members)
-        red = {b: F(*remove_player(w, wP, b)) for b in members}
-        gaps = []  # gaps[s] = payoff of members[s+1] minus payoff of members[s]
-        for s in range(k):
-            succ_terms = []
-            for l in range(k):
-                if l == s:
-                    continue
-                r = red[members[(l + 1) % k]]
-                succ_terms.append(r[members[l]] - r[nid])
-            pred_terms = []
-            for l in range(k):
-                if l == (s + 1) % k:
-                    continue
-                r = red[members[(l - 1) % k]]
-                pred_terms.append(r[members[l]] - r[nid])
-            gaps.append(math.fsum(succ_terms) - math.fsum(pred_terms))
+        red = removal_outcomes(F, w, wP, members)
+
+        def terms(d: int) -> list[float]:
+            # each member's payoff less the null player's, once the member
+            # d places on around the block is removed
+            outs = (red[members[(l + d) % k]] for l in range(k))
+            return [out[i] - out[nid] for i, out in zip(members, outs)]
+
+        def fsum_but(xs: list[float], j: int) -> float:
+            return math.fsum(xs[:j] + xs[j + 1 :])
+
+        succ, pred = terms(1), terms(-1)
+        # gaps[s] = payoff of members[s+1] minus payoff of members[s]
+        gaps = [fsum_but(succ, s) - fsum_but(pred, (s + 1) % k) for s in range(k)]
         drift = math.fsum(gaps)
         if abs(drift) > slack(tol, (x for r in red.values() for x in r.values)):
             raise InconsistentSystem(
                 f"block {tuple(members)}: cycle gaps drift by {drift:g}"
             )
-        rel = [0.0]
-        for s in range(k - 1):
-            rel.append(rel[-1] + gaps[s])
-        return rel
+        return list(accumulate(gaps[:-1], initial=0.0))
 
     return Allocation.from_mapping(settle_blocks(v, F(v, part), part, relative))

@@ -131,6 +131,12 @@ def components(g: Graph, coalition: Iterable[int] | None = None) -> tuple[frozen
     return tuple(out)
 
 
+def _aligned_graph(v: Game, g: Graph) -> Graph:
+    if g.players != v.players:
+        raise ValueError("graph and game must share the player set")
+    return g
+
+
 @reuse
 def restricted_game(v: Game, g: Graph) -> Game:
     """Each coalition earns the sum of its connected parts' worths.
@@ -151,8 +157,7 @@ def restricted_game(v: Game, g: Graph) -> Game:
     then add to inf, which ``Game`` rejects, where fsum raises; both are
     OverflowError, as a valid v leaves ``Game`` nothing else to reject.
     """
-    if g.players != v.players:
-        raise ValueError("graph and game must share the player set")
+    _aligned_graph(v, g)
     vw = [x + 0.0 for x in v.worth]
     worth = vw[:]
     rest_of = [0] * len(vw)
@@ -201,12 +206,6 @@ def myerson(v: Game, g: Graph) -> Allocation:
     return shapley(restricted_game(v, g))
 
 
-def _aligned_graph(v: Game, g: Graph) -> Graph:
-    if g.players != v.players:
-        raise ValueError("graph and game must share the player set")
-    return g
-
-
 GRAPH = Structure("graph", _aligned_graph)
 MYERSON_SOLUTION = Solution("myerson", myerson, reads=GRAPH)
 
@@ -244,8 +243,7 @@ def solve_by_fairness_induction(
     Pass a dict as ``cache`` to share solved levels across calls with the
     same benchmark and game.
     """
-    if g.players != v.players:
-        raise ValueError("graph and game must share the player set")
+    _aligned_graph(v, g)
     if len(g.links) > 12:
         raise ValueError("fairness induction is limited to 12 links")
     memo = cache if cache is not None else {}

@@ -36,7 +36,8 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    # the exact type, as the worth table's fast path tests members
+    return type(x) is int
 
 
 def _int_list(obj: Any, what: str) -> list[int]:
@@ -52,18 +53,19 @@ def _float(value: int | float, k: int) -> float:
         raise ParseError(f"worth entry {k} value is out of float range") from None
 
 
-def _coalition(members: list[int], bits: dict[int, int]) -> tuple[int, str | None]:
-    """The mask of a list of ints, or -1 and why it is no coalition of the
-    players: the first bad member in ascending order."""
+def _not_a_coalition(members: list[int], bits: dict[int, int]) -> str:
+    """Why a list of ints that the worth table's fast path refused is no
+    coalition of the players: its first member in ascending order that is
+    no player or repeats one."""
     mask = 0
     for p in sorted(members):
         b = bits.get(p, 0)
         if not b:
-            return -1, f"coalition member {p} is not a player"
+            return f"coalition member {p} is not a player"
         if mask & b:
-            return -1, f"player {p} listed twice in coalition"
+            break
         mask |= b
-    return mask, None
+    return f"player {p} listed twice in coalition"
 
 
 _ENTRY_KEYS = {"coalition", "value"}
@@ -108,14 +110,12 @@ def _worth_table(entries: list, bits: dict[int, int]) -> list[float]:
                 f"worth entry {k} value must be a number",
             )
             if mask < 0:
-                mask, why = _coalition(members, bits)
-                if why is not None:
-                    key = tuple(sorted(members))
-                    _require(key not in bad, f"worth entry {k} repeats coalition {list(key)}")
-                    bad.add(key)
-                    _float(value, k)
-                    late = late or why
-                    continue
+                key = tuple(sorted(members))
+                _require(key not in bad, f"worth entry {k} repeats coalition {list(key)}")
+                bad.add(key)
+                _float(value, k)
+                late = late or _not_a_coalition(members, bits)
+                continue
         if seen[mask]:
             raise ParseError(f"worth entry {k} repeats coalition {sorted(members)}")
         seen[mask] = 1

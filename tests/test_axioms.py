@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from collections import Counter
 from itertools import product
@@ -17,13 +18,21 @@ from tugx.axioms import (
     check_theorem_suite,
     graph_subject,
     operator_subject,
+    partition_operator_subject,
     partition_subject,
     value_subject,
 )
-from tugx.coalition import AUMANN_DREZE, PARTITION, remove_player
+from tugx.coalition import AUMANN_DREZE, PARTITION, make_partition, remove_player
 from tugx.comm import MYERSON_SOLUTION
 from tugx.errors import IncompatibleSubject, UnknownName
-from tugx.games import POSITIVE_SINGLETONS, Game, Tolerance, is_null_player, random_game
+from tugx.games import (
+    GENERAL,
+    POSITIVE_SINGLETONS,
+    Game,
+    Tolerance,
+    is_null_player,
+    random_game,
+)
 from tugx.operators import (
     COHESIVE_ESS_OPERATOR,
     COHESIVE_PS_OPERATOR,
@@ -459,3 +468,118 @@ def test_removal_cycles_evaluate_each_removal_once_per_block():
     # own 2k removals would make 5! * 12 = 1,440
     assert len(calls) == 6
     assert sorted(set(players) - set(p) for p, _ in calls) == [{i} for i in players]
+
+
+def _one_block(n):
+    players = tuple(range(1, n + 1))
+    return random_game(players, seed=n), (frozenset(players),)
+
+
+def test_removal_cycle_orders_are_capped_before_any_evaluation():
+    corpus = Corpus((), (), (_one_block(11),))
+    calls = []
+    subject = partition_subject(_counting_aumann_dreze(calls))
+    for axiom in ("cyclic-removal-balance", "cyclic-removal-balance-at-game"):
+        t0 = time.monotonic()
+        with pytest.raises(ValueError) as refused:
+            check_axiom(axiom, subject, corpus)
+        assert time.monotonic() - t0 < 0.5
+        assert str(refused.value) == (
+            f"{axiom}: block (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11) has 3,628,800 removal "
+            "cycles; the check runs at most 362,880 (blocks of up to 10 members)"
+        )
+    assert calls == []
+
+
+def test_removal_cycle_cap_admits_ten_members_and_refuses_eleven():
+    calls = []
+    subject = partition_subject(_counting_aumann_dreze(calls))
+    ten, eleven = _one_block(10), _one_block(11)
+
+    def first_item(*pairs):
+        checker = axioms._cyclic_removal_balance(
+            subject, Corpus((), (), pairs), Tolerance(), axiom="cyclic-removal-balance"
+        )
+        return next(checker)
+
+    # a block of 10 gets as far as its first evaluation, which stays uncalled
+    assert callable(first_item(ten))
+    # the whole corpus is scanned before the first evaluation
+    with pytest.raises(ValueError, match=r"\(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11\) has 3,628,800"):
+        first_item(ten, eleven)
+    assert calls == []
+
+
+def _cases_and_skips(report):
+    found = re.search(r"skipped (\d+) out-of-domain evaluations", report.note)
+    return report.cases, int(found.group(1)) if found else 0
+
+
+def test_invariance_skips_a_benchmark_out_of_its_domain(positive_corpus):
+    # ps needs a positive singleton total, and these games have none
+    bad = (
+        Game.from_table([1], {(1,): -1.0}),
+        Game.from_table([1, 2], {(1,): -1.0, (2,): 0.5, (1, 2): 2.0}),
+    )
+    subject = value_subject(wrap(ESS_OPERATOR, PS_VALUE), PS_VALUE)
+    good = check_axiom("equal-surplus-invariance", subject, positive_corpus)
+    mixed = check_axiom(
+        "equal-surplus-invariance", subject, Corpus((*positive_corpus.games, *bad))
+    )
+    assert good.passed and mixed.passed and good.cases > 0
+    # every benchmark-stats pair of a bad game is skipped, and adds no case
+    skips = sum(len(axioms._invariance_partners(PS_VALUE, v, i)) for v in bad for i in v.players)
+    cases, skipped = _cases_and_skips(good)
+    assert _cases_and_skips(mixed) == (cases, skipped + skips)
+    assert f"skipped {skipped + skips} out-of-domain evaluations" in mixed.note
+
+
+@pytest.mark.parametrize(
+    "axiom",
+    [
+        "relative-block-surplus-fairness",
+        "split-off-balance",
+        "null-player-gap",
+        "operator-equal-surplus",
+    ],
+)
+def test_partition_checks_skip_evaluations_outside_a_frozen_domain(axiom):
+    players = (1, 2, 3)
+    v0 = axioms._structured_game(players, GENERAL)  # player 3 is an exact null
+    v1 = axioms._scaled_game(v0)
+    P0, P1, P2 = (make_partition(b, players) for b in ([[1, 2, 3]], [[1, 3], [2]], [[1, 2], [3]]))
+    frozen = freeze_solution(AUMANN_DREZE, v0, P0)
+    ext = wrap(PARTITION_ESS_OPERATOR, frozen)
+    pool = (frozen, freeze_solution(EE_AUMANN_DREZE, v0, P0))
+    # the subject, and how many evaluations it makes at an input off the
+    # frozen cross domain: every one of them is skipped
+    subject, skips = {
+        "relative-block-surplus-fairness": (partition_subject(ext, frozen), lambda P: 1),
+        "split-off-balance": (
+            partition_subject(frozen),
+            lambda P: sum(math.comb(len(B), 2) for B in P),
+        ),
+        "null-player-gap": (partition_subject(ext, frozen), lambda P: 1),
+        # the pool pair, then each benchmark's detached and swapped twins
+        "operator-equal-surplus": (
+            partition_operator_subject(PARTITION_ESS_OPERATOR, pool),
+            lambda P: 1 + len(pool) * 2 * len(players),
+        ),
+    }[axiom]
+    good = ((v0, P0), (v0, P1))
+    bad = ((v1, P1), (v1, P2))
+    report = check_axiom(axiom, subject, Corpus((), (), good))
+    assert report.passed and _cases_and_skips(report)[1] == 0
+    mixed = check_axiom(axiom, subject, Corpus((), (), good + bad))
+    want = sum(skips(P) for _, P in bad)
+    assert mixed.passed
+    assert _cases_and_skips(mixed) == (report.cases, want)
+    assert mixed.note == f"skipped {want} out-of-domain evaluations"
+
+
+def test_operator_checks_refuse_a_subject_without_a_pool(corpus):
+    subject = partition_operator_subject(PARTITION_ESS_OPERATOR, pool=())
+    with pytest.raises(
+        IncompatibleSubject, match="^operator-equal-surplus needs a benchmark pool$"
+    ):
+        check_axiom("operator-equal-surplus", subject, corpus)

@@ -123,6 +123,21 @@ def test_solve_error_statuses(capsys, fixture_dir, tmp_path):
     assert code == 2 and "bad.json" in err
 
 
+def test_solve_blames_the_rule_that_needs_the_structure(capsys, fixture_dir):
+    duo = str(fixture_dir / "duo.json")
+    # standalone reads nothing: the composed rule needs the graph
+    code, out, err = run(capsys, "solve", duo, "--operator", "graph-ess", "-f", "standalone")
+    assert (code, out) == (2, "")
+    assert err == "error: 'graph-ess[standalone]' needs a graph in the game file\n"
+    code, out, err = run(capsys, "solve", duo, "--operator", "ess", "-f", "ad")
+    assert (code, out) == (2, "")
+    assert err == "error: 'ess[aumann-dreze]' needs a partition in the game file\n"
+    # without --operator the rule is the name as typed
+    code, out, err = run(capsys, "solve", duo, "-s", "ee-ad")
+    assert (code, out) == (2, "")
+    assert err == "error: 'ee-ad' needs a partition in the game file\n"
+
+
 def test_non_finite_constant_is_rejected(capsys, fixture_dir):
     duo = str(fixture_dir / "duo.json")
     for name in ("constant:inf", "constant:-inf", "constant:nan"):
@@ -440,6 +455,24 @@ def test_check_one_block_of_eight_players(capsys, tmp_path):
     assert out.splitlines()[0] == (
         "[PASS] cyclic-removal-balance :: ee-aumann-dreze (cases=5040)"
     )
+
+
+def test_check_refuses_a_block_of_eleven_players(capsys, tmp_path):
+    # 10! removal cycles are refused before the rule is evaluated once
+    players = tuple(range(1, 12))
+    v = random_game(players, seed=11)
+    (tmp_path / "block.json").write_text(render_game_text(v, partition=[players]))
+    for flag in ((), ("--json",)):
+        code, out, err = run(
+            capsys, "check", str(tmp_path), "--axiom", "cyclic-removal-balance",
+            "--target", "ee-aumann-dreze", *flag,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: cyclic-removal-balance: block (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11) has "
+            "3,628,800 removal cycles; the check runs at most 362,880 (blocks of up to 10 "
+            "members)"
+        ]
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

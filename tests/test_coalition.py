@@ -1,7 +1,8 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tugx.coalition import (
     AUMANN_DREZE,
@@ -9,22 +10,39 @@ from tugx.coalition import (
     aumann_dreze,
     block_of,
     cycle_balance_residual,
-    cycle_balance_sides,
+    cycle_sums,
     extend_with_null,
     make_partition,
+    removal_outcomes,
     remove_player,
+    settle_blocks,
+    slack,
     solve_by_cycle_balance_induction,
     split_off,
 )
 from tugx.errors import DomainViolation, InconsistentSystem, UnknownName
-from tugx.games import DEFAULT_TOL, Game, iter_set_partitions, random_game
+from tugx.games import (
+    DEFAULT_TOL,
+    PROFILES,
+    Game,
+    iter_set_partitions,
+    random_game,
+    sample_set_partitions,
+)
 from tugx.operators import (
     EE_AUMANN_DREZE,
     PARTITION_ESS_OPERATOR,
     named_partition_solution,
     wrap,
 )
-from tugx.solutions import ZERO, Allocation, Solution, allocations_close, freeze_solution
+from tugx.solutions import (
+    SHAPLEY,
+    ZERO,
+    Allocation,
+    Solution,
+    allocations_close,
+    freeze_solution,
+)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -143,14 +161,15 @@ def test_cycle_sides_evaluate_each_removal_once():
         return AUMANN_DREZE(w, Q)
 
     sol = Solution("counted", counted, reads=PARTITION)
-    succ, pred, outs = cycle_balance_sides(sol, v, P, [1, 2, 4, 5], order=(1, 4, 2, 5))
+    outcomes = removal_outcomes(sol, v, P, [1, 2, 4, 5])
     # one evaluation per member, in sorted member order
     assert calls == [(2, 3, 4, 5), (1, 3, 4, 5), (1, 2, 3, 5), (1, 2, 3, 4)]
-    assert outs == tuple(AUMANN_DREZE(*remove_player(v, P, j)) for j in (1, 2, 4, 5))
-    after = dict(zip((1, 2, 4, 5), outs))
+    assert outcomes == {j: AUMANN_DREZE(*remove_player(v, P, j)) for j in (1, 2, 4, 5)}
     cycle = (1, 4, 2, 5)
-    assert succ == math.fsum(after[cycle[(l + 1) % 4]][i] for l, i in enumerate(cycle))
-    assert pred == math.fsum(after[cycle[l - 1]][i] for l, i in enumerate(cycle))
+    succ, pred = cycle_sums(outcomes, cycle)
+    assert succ == math.fsum(outcomes[cycle[(l + 1) % 4]][i] for l, i in enumerate(cycle))
+    assert pred == math.fsum(outcomes[cycle[l - 1]][i] for l, i in enumerate(cycle))
+    assert cycle_balance_residual(AUMANN_DREZE, v, P, [1, 2, 4, 5], cycle) == succ - pred
 
 
 @given(seeds, st.integers(min_value=2, max_value=4))
@@ -164,22 +183,84 @@ def test_cycle_induction_matches_extension(seed, n):
             assert allocations_close(got, ext(v, P), DEFAULT_TOL)
 
 
-def test_cycle_induction_rejects_unbalanced_benchmark():
-    # a benchmark that hands each block's worth to its lowest member has a
-    # nonzero removal-cycle residual, which the level equations expose
-    def lowest_takes_all(v, P):
-        vals = dict.fromkeys(v.players, 0.0)
-        for block in P:
-            vals[min(block)] = v.value(block)
-        return Allocation(v.players, tuple(vals[p] for p in v.players))
+def _lowest_takes_all(v, P):
+    vals = dict.fromkeys(v.players, 0.0)
+    for block in P:
+        vals[min(block)] = v.value(block)
+    return Allocation(v.players, tuple(vals[p] for p in v.players))
 
-    greedy = Solution("lowest-takes-all", lowest_takes_all, reads=PARTITION)
+
+# A benchmark that hands each block's worth to its lowest member has a
+# nonzero removal-cycle residual, which the level equations expose.
+LOWEST_TAKES_ALL = Solution("lowest-takes-all", _lowest_takes_all, reads=PARTITION)
+
+
+def test_cycle_induction_rejects_unbalanced_benchmark():
     v = random_game((1, 2, 3), seed=12)
     P = (frozenset({1, 2, 3}),)
     with pytest.raises(
         InconsistentSystem, match=r"^block \(1, 2, 3\): cycle gaps drift by 8\.65625$"
     ):
-        solve_by_cycle_balance_induction(greedy, v, P)
+        solve_by_cycle_balance_induction(LOWEST_TAKES_ALL, v, P)
+
+
+def _nested_gap_induction(F, v, P, tol=DEFAULT_TOL):
+    """The cycle-induction solver as it took its terms per gap: each of a
+    block's k gaps re-reads 2(k - 1) removal terms."""
+    part = make_partition(P, v.players)
+
+    def relative(members):
+        k = len(members)
+        if k == 1:
+            return [0.0]
+        w, wP, nid = extend_with_null(v, part, members)
+        red = {b: F(*remove_player(w, wP, b)) for b in members}
+        gaps = []
+        for s in range(k):
+            succ_terms, pred_terms = [], []
+            for l in range(k):
+                if l != s:
+                    r = red[members[(l + 1) % k]]
+                    succ_terms.append(r[members[l]] - r[nid])
+                if l != (s + 1) % k:
+                    r = red[members[(l - 1) % k]]
+                    pred_terms.append(r[members[l]] - r[nid])
+            gaps.append(math.fsum(succ_terms) - math.fsum(pred_terms))
+        drift = math.fsum(gaps)
+        if abs(drift) > slack(tol, (x for r in red.values() for x in r.values)):
+            raise InconsistentSystem(f"block {tuple(members)}: cycle gaps drift by {drift:g}")
+        rel = [0.0]
+        for s in range(k - 1):
+            rel.append(rel[-1] + gaps[s])
+        return rel
+
+    return Allocation.from_mapping(settle_blocks(v, F(v, part), part, relative))
+
+
+def _solved(solve, F, v, P):
+    """The payoffs as float.hex strings, or the InconsistentSystem text."""
+    try:
+        return [x.hex() for x in solve(F, v, P).values]
+    except InconsistentSystem as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seeds, st.integers(min_value=1, max_value=6), st.sampled_from((*PROFILES, "wide")))
+def test_cycle_induction_matches_nested_gap_reference(wide_game, seed, n, profile):
+    players = tuple(range(1, n + 1))
+    if profile == "wide":
+        v = wide_game(players, seed)
+    else:
+        v = random_game(players, seed=seed, profile=profile)
+    if n <= 4:
+        partitions = list(iter_set_partitions(players))
+    else:
+        partitions = sample_set_partitions(players, 6, random.Random(seed))
+    for F in (AUMANN_DREZE, ZERO, SHAPLEY, LOWEST_TAKES_ALL):
+        for P in partitions:
+            want = _solved(_nested_gap_induction, F, v, P)
+            assert _solved(solve_by_cycle_balance_induction, F, v, P) == want
 
 
 def test_cycle_induction_pair_blocks_always_consistent():

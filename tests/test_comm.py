@@ -117,6 +117,19 @@ def test_fairness_induction_matches_extension(seed, n):
         assert len(cache) == len(list(all_graphs(players)))
 
 
+def test_graph_on_another_player_set_is_refused(trio, duo):
+    g = complete_graph(duo.players)
+    message = "^graph and game must share the player set$"
+    for refuse in (
+        lambda: MYERSON_SOLUTION(trio, g),
+        lambda: EE_MYERSON(trio, g),
+        lambda: restricted_game(trio, g),
+        lambda: solve_by_fairness_induction(MYERSON_SOLUTION, trio, g),
+    ):
+        with pytest.raises(ValueError, match=message):
+            refuse()
+
+
 def test_fairness_induction_link_cap():
     players = tuple(range(1, 7))
     v = random_game(players, seed=3)

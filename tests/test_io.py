@@ -109,6 +109,19 @@ def test_worth_entry_rejections(worths, message):
         parse_game_text(text)
 
 
+def test_members_must_be_plain_integers():
+    # the worth table's fast path reads members by their exact type, and so
+    # does every other integer field
+    class Member(int):
+        pass
+
+    entry = {"coalition": [Member(1)], "value": 1.0}
+    with pytest.raises(ParseError, match="^worth entry 0 coalition must contain only integers$"):
+        parse_game_payload({"players": [1, 2], "worths": [entry]})
+    with pytest.raises(ParseError, match="^'players' must contain only integers$"):
+        parse_game_payload({"players": [Member(1), 2], "worths": []})
+
+
 @pytest.mark.parametrize("n", [17, 64])
 def test_too_many_players_are_refused_before_any_table(n):
     players = list(range(n))
