@@ -24,7 +24,8 @@ that counts cases and skips, stops at the first failure, writes the note and
 builds the ``AxiomReport``.  ``check_axiom`` finds a property in the
 catalogue ``_CHECKERS`` as (subject kinds, checker, params), so the flavours
 of one property share a checker.  While ``_drive`` runs, kernel results are
-reused across evaluations (see ``memo``).
+reused across evaluations, and across the checks of one theorem suite (see
+``memo``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .games import (
     permute_game,
     random_game,
     sample_set_partitions,
+    total_of,
     unanimity_game,
 )
 from . import memo
@@ -381,7 +383,7 @@ def _scale(outs: Iterable[Allocation]) -> float:
     """The size of the rounding in payoffs from the allocations outs: the
     largest ``fsum(|x_i|)``, since payoffs that cancel leave rounding of
     their own size, not of the result's."""
-    return max(math.fsum(map(abs, out.values)) for out in outs)
+    return max(total_of(map(abs, out.values), "a payoff size") for out in outs)
 
 
 def _agree(tol: Tolerance, a: float, b: float, *outs: Allocation) -> bool:
@@ -498,7 +500,7 @@ def _invariance_partners(f, v: Game, i: int) -> list[Game]:
 
 def _surplus_stats(f, v: Game) -> tuple[Allocation, float, float]:
     out = f(v)
-    total = math.fsum(out.values)
+    total = out.total()
     return out, total, v.grand - total
 
 
@@ -559,16 +561,16 @@ def _part_totals(subject, corpus, tol, share=None):
         outs = (out,) if bench is None else pair
         parts = components(s) if part == "component" else s
         if bench is not None:
-            surplus = v.grand - math.fsum(bench.values)
+            surplus = v.grand - total_of(bench.values, "the benchmark total")
         elif share is not None:
-            surplus = v.grand - math.fsum(v.value(c) for c in parts)
+            surplus = v.grand - total_of(map(v.value, parts), "the parts' worth total")
         for C in parts:
             members = sorted(C)
-            got = math.fsum(out[i] for i in members)
+            got = total_of((out[i] for i in members), "a part's payoff total")
             if bench is None:
                 want = v.value(C)
             else:
-                want = math.fsum(bench[i] for i in members)
+                want = total_of((bench[i] for i in members), "a part's benchmark total")
             if share is not None:
                 want += len(C) * surplus / v.n
             yield None if _agree(tol, got, want, *outs) else _witness(
@@ -754,7 +756,7 @@ def _op_equal_surplus(subject, corpus, tol):
             if pair is _SKIPPED:
                 continue
             o1, o2 = pair
-            if math.fsum(o1.values) != math.fsum(o2.values):
+            if o1.total() != o2.total():
                 continue
             for idx in range(v.n):
                 if o1.values[idx] == o2.values[idx]:
@@ -1003,11 +1005,13 @@ def check_theorem_suite(
     except KeyError:
         raise UnknownName(f"unknown theorem suite {suite!r}") from None
     reports: list[AxiomReport] = []
-    for row in rows:
-        if isinstance(row, _Preserved):
-            checker = row.checker(corpus, tol)
-            reports.append(_drive(row.axiom, row.subject, checker, row.note))
-        else:
-            subject, axioms = row
-            reports.extend(check_axiom(axiom, subject, corpus, tol) for axiom in axioms)
+    # the rows evaluate the same values on the same corpus: one memo for all
+    with memo.scope(f"suite {suite}"):
+        for row in rows:
+            if isinstance(row, _Preserved):
+                checker = row.checker(corpus, tol)
+                reports.append(_drive(row.axiom, row.subject, checker, row.note))
+            else:
+                subject, axioms = row
+                reports.extend(check_axiom(a, subject, corpus, tol) for a in axioms)
     return tuple(reports)

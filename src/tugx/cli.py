@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from .coalition import make_partition, solve_by_cycle_balance_induction
 from .comm import Graph, solve_by_fairness_induction
+from . import memo
 from .errors import DomainViolation, MissingStructure, TugxError
 from .games import DEFAULT_TOL, GENERAL, MAX_PLAYERS, PROFILES, Game, Tolerance, random_game
 from .io import GameFile, load_game_file, render_game_text, significant
@@ -232,12 +233,14 @@ def _cmd_check(args) -> int:
     tol = _tol_from(args)
     anchor = _load_anchor(args.anchor)
     reports = []
-    for suite in args.suite or ():
-        reports.extend(check_theorem_suite(suite, corpus, tol))
-    if args.axiom:
-        if not args.target:
-            raise ValueError("--axiom needs --target")
-        reports.append(check_axiom(args.axiom, _subject(args, anchor), corpus, tol))
+    # every check of the command shares one memo
+    with memo.scope("tugx check"):
+        for suite in args.suite or ():
+            reports.extend(check_theorem_suite(suite, corpus, tol))
+        if args.axiom:
+            if not args.target:
+                raise ValueError("--axiom needs --target")
+            reports.append(check_axiom(args.axiom, _subject(args, anchor), corpus, tol))
     if not reports:
         raise ValueError("nothing to check: pass --suite and/or --axiom")
     if args.strict:

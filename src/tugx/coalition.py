@@ -15,12 +15,11 @@ fairness induction solver of ``comm``.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainViolation, InconsistentSystem
-from .games import DEFAULT_TOL, Game, Tolerance, _relabel, subgame
+from .games import DEFAULT_TOL, Game, Tolerance, _relabel, subgame, total_of
 from .memo import reuse
 from .solutions import Allocation, Solution, Structure, shapley
 
@@ -128,9 +127,9 @@ def cycle_sums(
     member's payoff after their cyclic successor is removed, and after
     their predecessor is."""
     cycle = tuple(order)
-    succ = math.fsum(payoffs[j][i] for i, j in zip(cycle, cycle[1:] + cycle[:1]))
-    pred = math.fsum(payoffs[j][i] for i, j in zip(cycle, cycle[-1:] + cycle[:-1]))
-    return succ, pred
+    succ = [payoffs[j][i] for i, j in zip(cycle, cycle[1:] + cycle[:1])]
+    pred = [payoffs[j][i] for i, j in zip(cycle, cycle[-1:] + cycle[:-1])]
+    return total_of(succ, "a removal cycle"), total_of(pred, "a removal cycle")
 
 
 def cycle_balance_residual(
@@ -174,14 +173,17 @@ def settle_blocks(
     gives the members' payoffs, in sorted order, up to one common shift;
     they are shifted equally to meet the block total.
     """
-    surplus = v.grand - math.fsum(bench.values)
+    surplus = v.grand - total_of(bench.values, "the benchmark total")
     payoffs: dict[int, float] = {}
     for blk in blocks:
         members = sorted(blk)
         k = len(members)
-        block_total = math.fsum(bench[i] for i in members) + k * surplus / v.n
+        block_total = (
+            total_of([bench[i] for i in members], "a block's benchmark total")
+            + k * surplus / v.n
+        )
         rel = relative(members)
-        shift = (block_total - math.fsum(rel)) / k
+        shift = (block_total - total_of(rel, "a block's relative payoffs")) / k
         for i, r in zip(members, rel):
             payoffs[i] = r + shift
     return payoffs
@@ -219,12 +221,12 @@ def solve_by_cycle_balance_induction(
             return [out[i] - out[nid] for i, out in zip(members, outs)]
 
         def fsum_but(xs: list[float], j: int) -> float:
-            return math.fsum(xs[:j] + xs[j + 1 :])
+            return total_of(xs[:j] + xs[j + 1 :], "a cycle gap's terms")
 
         succ, pred = terms(1), terms(-1)
         # gaps[s] = payoff of members[s+1] minus payoff of members[s]
         gaps = [fsum_but(succ, s) - fsum_but(pred, (s + 1) % k) for s in range(k)]
-        drift = math.fsum(gaps)
+        drift = total_of(gaps, "the cycle gaps")
         if abs(drift) > slack(tol, (x for r in red.values() for x in r.values)):
             raise InconsistentSystem(
                 f"block {tuple(members)}: cycle gaps drift by {drift:g}"

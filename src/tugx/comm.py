@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator
 
 from .coalition import settle_blocks, slack
 from .errors import DomainViolation, InconsistentSystem
-from .games import DEFAULT_TOL, Game, Tolerance
+from .games import DEFAULT_TOL, Game, Tolerance, total_of
 from .memo import reuse
 from .solutions import Allocation, Solution, Structure, shapley
 
@@ -154,50 +154,50 @@ def restricted_game(v: Game, g: Graph) -> Game:
     (fsum turns -0.0 into 0.0, hence the ``+ 0.0``).  fsum is exact and
     order-independent, so every worth is bit-identical to summing the parts
     of each coalition found from scratch.  Only overflow differs: two parts
-    then add to inf, which ``Game`` rejects, where fsum raises; both are
-    OverflowError, as a valid v leaves ``Game`` nothing else to reject.
+    then add to inf, which ``Game`` rejects, where fsum raises; both become
+    one OverflowError, as a valid v leaves ``Game`` nothing else to reject.
     """
     _aligned_graph(v, g)
     vw = [x + 0.0 for x in v.worth]
     worth = vw[:]
     rest_of = [0] * len(vw)
-    fsum = math.fsum
-    for k, near in enumerate(_adjacency(g)):
-        h = 1 << k
-        for below in range(1, h):
-            s = h | below
-            if not rest_of[below]:
-                # below is connected: S is too if h touches it
-                if not below & near:
-                    rest_of[s] = below
-                    worth[s] = vw[below] + vw[h]
-                continue
-            joined = h
-            parts = []
-            r = below
-            while r & near:
-                nxt = rest_of[r]
-                part = r ^ nxt
-                if part & near:
-                    joined |= part
-                else:
-                    parts.append(vw[part])
-                r = nxt
-            rest_of[s] = s ^ joined
-            while r:
-                nxt = rest_of[r]
-                parts.append(vw[r ^ nxt])
-                r = nxt
-            if not parts:
-                continue  # S is connected: worth[s] is already v(S)
-            if len(parts) == 1:
-                worth[s] = vw[joined] + parts[0]
-            else:
-                parts.append(vw[joined])
-                worth[s] = fsum(parts)
     try:
+        fsum = math.fsum
+        for k, near in enumerate(_adjacency(g)):
+            h = 1 << k
+            for below in range(1, h):
+                s = h | below
+                if not rest_of[below]:
+                    # below is connected: S is too if h touches it
+                    if not below & near:
+                        rest_of[s] = below
+                        worth[s] = vw[below] + vw[h]
+                    continue
+                joined = h
+                parts = []
+                r = below
+                while r & near:
+                    nxt = rest_of[r]
+                    part = r ^ nxt
+                    if part & near:
+                        joined |= part
+                    else:
+                        parts.append(vw[part])
+                    r = nxt
+                rest_of[s] = s ^ joined
+                while r:
+                    nxt = rest_of[r]
+                    parts.append(vw[r ^ nxt])
+                    r = nxt
+                if not parts:
+                    continue  # S is connected: worth[s] is already v(S)
+                if len(parts) == 1:
+                    worth[s] = vw[joined] + parts[0]
+                else:
+                    parts.append(vw[joined])
+                    worth[s] = fsum(parts)
         return Game(v.players, tuple(worth))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise OverflowError("a restricted worth overflows") from None
 
 
@@ -220,8 +220,9 @@ def component_surplus_share(
     if blk not in components(g):
         raise DomainViolation(f"{tuple(sorted(blk))} is not a component")
     out = F(v, g)
-    surplus = v.grand - math.fsum(out.values)
-    return math.fsum(out[i] for i in sorted(blk)) + len(blk) * surplus / v.n
+    surplus = v.grand - total_of(out.values, "the benchmark total")
+    block_total = total_of((out[i] for i in sorted(blk)), "a component's benchmark total")
+    return block_total + len(blk) * surplus / v.n
 
 
 def solve_by_fairness_induction(

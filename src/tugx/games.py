@@ -54,6 +54,18 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def total_of(values: Iterable[float], what: str) -> float:
+    """``math.fsum`` of values.  A sum with no float value, of +inf and -inf
+    or of finite values past the float range, is an OverflowError that
+    names what was summed."""
+    try:
+        return math.fsum(values)
+    except ValueError:
+        raise OverflowError(f"{what} adds +inf to -inf") from None
+    except OverflowError:
+        raise OverflowError(f"{what} overflows") from None
+
+
 def player_bits(players: Iterable[int]) -> tuple[tuple[int, ...], dict[int, int]]:
     """The sorted player ids and each one's coalition bit.  Duplicate ids and
     more than MAX_PLAYERS players are refused here, before a caller sizes a

@@ -1,13 +1,17 @@
-"""Kernel results reused within one axiom check.
+"""Kernel results reused across the axiom checks of one run.
 
 An axiom check evaluates rules on many inputs that share games: the
 Aumann-Dreze value of every partition of a game takes subgames the other
 partitions took too, the rules an operator check compares ask for the
 Aumann-Dreze payoffs of one game and partition again and again, and every
-benchmark of a pool restricts the same game by the same graph.  While a
-check runs (``axioms._drive`` holds ``scope``), a kernel decorated with
-``reuse`` looks its result up here first and runs only on a miss.  Outside
-a check nothing is stored and every kernel runs.
+benchmark of a pool restricts the same game by the same graph.  The checks
+of one theorem suite evaluate the same values on the same corpus once more.
+While a ``scope`` is open, a kernel decorated with ``reuse`` looks its
+result up here first and runs only on a miss.  ``axioms._drive`` opens one
+per check, ``axioms.check_theorem_suite`` one per suite and ``tugx check``
+one per command; a scope opened inside another shares its memo, so the
+checks of a suite or a command reuse each other's results.  Outside a scope
+nothing is stored and every kernel runs.
 
 A result is keyed by the kernel, the game's players, the exact bytes of its
 worth table and the kernel's other arguments (a coalition mask, a graph, a
@@ -18,6 +22,9 @@ is bit-identical to a fresh run.  The bytes are taken once per game object.
 The memo holds at most ``_BUDGET`` worth-table cells, counting the byte
 tables it has taken and the games it has stored; an entry that would pass
 the budget empties the memo first.
+
+At DEBUG the ``tugx.memo`` logger gets one line per scope: the hits, misses
+and clears that accrued while that scope was open.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ K = TypeVar("K", bound=Callable)
 
 
 class _Memo:
-    """The results of one check, with hit and miss counts per kernel."""
+    """The results of one outermost scope, with hit and miss counts per
+    kernel."""
 
     def __init__(self) -> None:
         self.hits: Counter[str] = Counter()
@@ -72,10 +80,16 @@ class _Memo:
         self._spend(len(getattr(out, "worth", ())))
         self.results[key] = out
 
-    def summary(self) -> str:
-        kernels = sorted(self.hits.keys() | self.misses.keys())
-        counts = [f"{k} {self.hits[k]} hits/{self.misses[k]} misses" for k in kernels]
-        return ", ".join(counts + [f"{self.clears} clears"])
+    def counts(self) -> tuple[Counter[str], Counter[str], int]:
+        """A snapshot of the hits, misses and clears so far."""
+        return Counter(self.hits), Counter(self.misses), self.clears
+
+    def summary(self, since: tuple[Counter[str], Counter[str], int]) -> str:
+        """The counts that accrued after the snapshot ``since``."""
+        hits, misses = self.hits - since[0], self.misses - since[1]
+        kernels = sorted(hits.keys() | misses.keys())
+        counts = [f"{k} {hits[k]} hits/{misses[k]} misses" for k in kernels]
+        return ", ".join(counts + [f"{self.clears - since[2]} clears"])
 
 
 _memo: _Memo | None = None
@@ -100,19 +114,19 @@ def _debug_logger():
 @contextmanager
 def scope(label: str) -> Iterator[None]:
     """Reuse kernel results until the block ends.  The outermost scope owns
-    the memo and drops it however the block ends, logging its counts."""
+    the memo and drops it however the block ends; a scope inside it shares
+    the memo.  At DEBUG each scope logs the counts of its own block."""
     global _memo
-    if _memo is not None:
-        yield
-        return
-    memo = _memo = _Memo()
+    outer = _memo
+    memo = _memo = outer or _Memo()
+    log = _debug_logger()
+    since = memo.counts() if log is not None else None
     try:
         yield
     finally:
-        _memo = None
-        log = _debug_logger()
-        if log is not None:
-            log.debug("memo of %s: %s", label, memo.summary())
+        _memo = outer
+        if since is not None:
+            log.debug("memo of %s: %s", label, memo.summary(since))
 
 
 def reuse(kernel: K) -> K:

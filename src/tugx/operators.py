@@ -31,7 +31,7 @@ from typing import Any, Callable, NamedTuple
 from .coalition import AUMANN_DREZE, PARTITION
 from .comm import GRAPH, MYERSON_SOLUTION
 from .errors import DomainViolation, UnknownName
-from .games import DEFAULT_TOL, Game
+from .games import DEFAULT_TOL, Game, total_of
 from .memo import reuse
 from .solutions import (
     EQUAL_DIVISION,
@@ -85,7 +85,7 @@ class Operator:
 
 def _ess_shares(out: Allocation, v: Game, target: float) -> Allocation:
     """Benchmark payoffs plus an equal share of the target worth they leave."""
-    share = (target - math.fsum(out.values)) / v.n
+    share = (target - total_of(out.values, "the benchmark total")) / v.n
     return Allocation(v.players, tuple(x + share for x in out.values))
 
 
@@ -94,8 +94,8 @@ def _divisor(out: Allocation, what: str, positive: bool = True) -> float:
     relative to the payoffs' magnitudes, is refused (a negative one too when
     positive): dividing by it would blow rounding noise up to any size.
     """
-    total = math.fsum(out.values)
-    floor = DEFAULT_TOL.rel_eps * math.fsum(map(abs, out.values))
+    total = total_of(out.values, "the benchmark total")
+    floor = DEFAULT_TOL.rel_eps * total_of(map(abs, out.values), "the benchmark's size")
     if (total if positive else abs(total)) <= floor:
         need = "positive" if positive else "non-negligible"
         raise DomainViolation(f"{what} needs a {need} benchmark total, got {total}")
@@ -127,7 +127,7 @@ def _convex_shares(alpha: float) -> Callable[[Allocation, Game, float], Allocati
         else:
             total = _divisor(out, "payoff-proportional weighting", positive=False)
             weights = tuple(alpha / n + (1.0 - alpha) * (p / total) for p in out.values)
-        surplus = target - math.fsum(out.values)
+        surplus = target - total_of(out.values, "the benchmark total")
         return Allocation(
             v.players, tuple(x + w * surplus for x, w in zip(out.values, weights))
         )
@@ -177,7 +177,7 @@ def _anchored_operator(sharing: Sharing, anchor: Game) -> Operator:
         out = f(v, *structure)
         base = sharing.shares(out, v, v.grand)
         at_anchor = out if v is anchor else f(anchor, *structure)
-        mean = math.fsum(at_anchor.values) / v.n
+        mean = total_of(at_anchor.values, "the benchmark total at the anchor") / v.n
         return Allocation(
             v.players,
             tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
@@ -366,7 +366,10 @@ def brute_force_partition_value(v: Game) -> float:
         place(bit << 1)
         blocks.pop()
 
-    place(1)
+    try:
+        place(1)
+    except OverflowError:
+        raise OverflowError("a partition's worth overflows") from None
     return best
 
 

@@ -16,7 +16,7 @@ from operator import mul, sub
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import DomainViolation, MissingStructure
-from .games import DEFAULT_TOL, Game, Tolerance
+from .games import DEFAULT_TOL, Game, Tolerance, total_of
 from .memo import reuse
 
 # Which worths a rule's payoffs read.  Axiom checks build partner games by
@@ -46,7 +46,7 @@ class Allocation:
             raise KeyError(player) from None
 
     def total(self) -> float:
-        return math.fsum(self.values)
+        return total_of(self.values, "the payoff total")
 
     def as_dict(self) -> dict[int, float]:
         return dict(zip(self.players, self.values))
@@ -112,7 +112,7 @@ class Solution:
 
 
 def singleton_total(v: Game) -> float:
-    return math.fsum(v.singleton_values())
+    return total_of(v.singleton_values(), "the singleton total")
 
 
 @reuse
@@ -150,7 +150,7 @@ def shapley(v: Game) -> Allocation:
                 map(mul, wt[j::step], map(sub, vw[j::step], vw[j - b :: step]))
                 for j in range(b, step)
             )
-        payoffs.append(math.fsum(chain.from_iterable(slices)))
+        payoffs.append(total_of(chain.from_iterable(slices), "a Shapley payoff"))
     return Allocation(v.players, tuple(payoffs))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import time
 from collections import Counter
@@ -44,9 +45,12 @@ from tugx.operators import (
     Operator,
     PS_VALUE,
     PARTITION_ESS_OPERATOR,
+    PS_OPERATOR,
     anchored_ess_operator,
+    anchored_ps_operator,
     max_partition_value,
     named_solution,
+    weighted_operator,
     wrap,
 )
 from tugx.solutions import SHAPLEY, STAND_ALONE, ZERO, Allocation, Solution, freeze_solution
@@ -267,6 +271,56 @@ def test_operator_axioms(corpus):
     ):
         report = check_axiom(axiom, sub, corpus)
         assert report.passed and report.cases > 0, axiom
+
+
+def _linear_rule(seed: int) -> Solution:
+    """f(v) = M v, with a seeded matrix M of eighths in [-1, 1] per size."""
+
+    def func(v):
+        rng = random.Random(100 * seed + v.n)
+        rows = [[rng.randint(-8, 8) / 8 for _ in v.worth] for _ in v.players]
+        payoffs = (math.fsum(m * w for m, w in zip(row, v.worth)) for row in rows)
+        return Allocation(v.players, tuple(payoffs))
+
+    return Solution(f"linear:{seed}", func)
+
+
+def _largest_worth(c: float) -> Solution:
+    """Each player's largest worth over the coalitions holding them, plus c."""
+
+    def func(v):
+        masks = range(1, 1 << v.n)
+        best = (max(v.worth[s] for s in masks if s >> k & 1) for k in range(v.n))
+        return Allocation(v.players, tuple(x + c for x in best))
+
+    return Solution(f"largest-worth+{c:g}", func)
+
+
+_ARBITRARY_POOL = (*map(_linear_rule, range(3)), _largest_worth(0.0), _largest_worth(1.0))
+
+
+def test_operators_over_arbitrary_benchmarks():
+    # the operator axioms hold for any benchmark, linear or not; the
+    # anchored operators read the benchmark away from the game played
+    corpus = Corpus.build(sizes=(2, 3, 4), per_size=2, seed=3)
+    checked = (
+        "efficiency",
+        "operator-equal-treatment",
+        "operator-equal-surplus",
+        "operator-weak-equal-surplus",
+    )
+    for op in (ESS_OPERATOR, PS_OPERATOR, weighted_operator(0.5)):
+        subject = operator_subject(op, _ARBITRARY_POOL)
+        for axiom in checked:
+            report = check_axiom(axiom, subject, corpus)
+            assert report.passed and report.cases > 0, (op.name, axiom)
+            # ps leaves its domain where a benchmark total is not positive
+            assert ("skipped" in report.note) == (op is PS_OPERATOR), (op.name, axiom)
+    anchor = next(v for v in corpus.games if v.n == 3)
+    for op in (anchored_ess_operator(anchor), anchored_ps_operator(anchor)):
+        subject = operator_subject(op, _ARBITRARY_POOL)
+        report = check_axiom("operator-equal-surplus", subject, corpus)
+        assert not report.passed, op.name
 
 
 def test_operator_equal_surplus_on_one_player_games():

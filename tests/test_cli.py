@@ -195,6 +195,24 @@ def test_non_finite_payoffs_exit_2(capsys, tmp_path):
         assert err.startswith("error: a sum leaves the float range")
 
 
+def test_a_sum_of_inf_and_minus_inf_is_named(capsys, tmp_path):
+    # the Shapley payoffs are inf, -inf and finite, so their total, which
+    # every operator over shapley takes first, has no value
+    v = Game.from_table([1, 2, 3], {
+        (1,): 1e308, (2,): -1e308, (1, 2): 1e308, (3,): 1.7e308, (1, 3): 1.0,
+        (2, 3): -1.7e308, (1, 2, 3): -0.0,
+    })
+    path = tmp_path / "game.json"
+    path.write_text(render_game_text(v))
+    for name in ("ess[shapley]", "ps[shapley]", "cohesive-ess[shapley]",
+                 "weighted:0.5[shapley]"):
+        code, out, err = run(capsys, "solve", str(path), "-s", name)
+        assert (code, out) == (2, ""), name
+        assert err == (
+            "error: a sum leaves the float range (the benchmark total adds +inf to -inf)\n"
+        ), name
+
+
 def test_check_with_non_finite_payoffs_exits_2(capsys, tmp_path):
     # both ess payoffs are inf: v(N) - v({1}) = 1e308 + 1e308 overflows
     corpus = tmp_path / "wide"
@@ -824,6 +842,7 @@ def test_cohesive_runs_exit_cleanly_on_edge_worths(worths):
             code, out, err = _captured_main(*argv)
             if code == 2:
                 assert out == "" and err.startswith("error: "), argv
+                assert "in fsum" not in err, argv
                 continue
             assert err == "", argv
             payload = json.loads(out, parse_constant=_reject_constant)
@@ -881,6 +900,7 @@ def test_structured_runs_exit_cleanly_on_edge_worths(text):
                 assert out == "" and err.startswith("error: "), argv
                 assert err.count("\n") == 1, argv
                 assert "coalition worths must be finite" not in err, argv
+                assert "in fsum" not in err, argv
                 continue
             assert err == "", argv
             payload = json.loads(out, parse_constant=_reject_constant)

@@ -18,6 +18,7 @@ from tugx.games import (
     random_game,
     sample_set_partitions,
     subgame,
+    total_of,
     unanimity_game,
 )
 
@@ -238,3 +239,12 @@ def test_permute_game_matches_per_bit_reference(wide_game):
                 ref = _reference_permuted_worths(v, mapping)
                 assert w.players == v.players
                 assert [x.hex() for x in w.worth] == [x.hex() for x in ref]
+
+
+def test_total_of_names_a_sum_without_a_value():
+    assert total_of([1e308, -1e308, 1.0], "x").hex() == math.fsum([1e308, -1e308, 1.0]).hex()
+    assert total_of([math.inf, 1.0], "x") == math.inf
+    with pytest.raises(OverflowError, match=r"^the payoff total adds \+inf to -inf$"):
+        total_of([math.inf, 1.0, -math.inf], "the payoff total")
+    with pytest.raises(OverflowError, match="^a block's total overflows$"):
+        total_of([1e308, 1e308], "a block's total")

@@ -1,5 +1,6 @@
-"""Kernel results reused within one axiom check: same reports, exact keys,
-nothing kept outside a check or past the budget."""
+"""Kernel results reused within one axiom check, suite or `tugx check`
+command: same reports, exact keys, nothing kept outside a scope or past the
+budget."""
 
 import contextlib
 import json
@@ -55,6 +56,19 @@ def _memo_off(monkeypatch) -> None:
     monkeypatch.setattr(memo, "scope", lambda label: contextlib.nullcontext())
 
 
+def _record_puts(monkeypatch) -> list[tuple]:
+    """The keys the memo stores from now on, in order."""
+    stored = []
+    real_put = memo._Memo.put
+
+    def put(self, key, out):
+        stored.append(key)
+        real_put(self, key, out)
+
+    monkeypatch.setattr(memo._Memo, "put", put)
+    return stored
+
+
 @pytest.mark.parametrize("which", ["general", "positive", "wide"])
 def test_suites_report_the_same_without_the_memo(which, wide_game, monkeypatch):
     corpus = {
@@ -66,7 +80,9 @@ def test_suites_report_the_same_without_the_memo(which, wide_game, monkeypatch):
     }[which]()
     with_memo = _all_suites(corpus)
     _memo_off(monkeypatch)
+    stored = _record_puts(monkeypatch)
     assert _all_suites(corpus) == with_memo
+    assert stored == []
 
 
 def test_equal_games_with_other_zero_signs_keep_their_own_results():
@@ -116,11 +132,7 @@ def test_memo_is_dropped_when_a_check_returns_or_raises():
 
 
 def test_plain_solve_stores_nothing(fixture_dir, monkeypatch, capsys):
-    stored = []
-    real_put = memo._Memo.put
-    monkeypatch.setattr(
-        memo._Memo, "put", lambda self, *a: stored.append(a) or real_put(self, *a)
-    )
+    stored = _record_puts(monkeypatch)
     trio = str(fixture_dir / "trio.json")
     for rule in ("shapley", "ee-myerson", "ee-aumann-dreze", "cohesive-ess[standalone]"):
         assert main(["solve", trio, "-s", rule]) == 0
@@ -129,6 +141,31 @@ def test_plain_solve_stores_nothing(fixture_dir, monkeypatch, capsys):
     assert main(["check", str(fixture_dir), "--suite", "partition-extension"]) == 0
     capsys.readouterr()
     assert stored and memo._memo is None
+
+
+@pytest.mark.parametrize("suite", THEOREM_SUITES)
+def test_a_suite_computes_each_result_once(suite, monkeypatch, caplog):
+    # the checks of a suite share one memo: what one check stored, the next
+    # one reuses, so no key is stored twice while nothing is cleared
+    corpus = Corpus.build(sizes=(2, 3, 4, 5, 6), per_size=1, seed=1)
+    stored = _record_puts(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="tugx"):
+        check_theorem_suite(suite, corpus)
+    assert caplog.records[-1].getMessage().startswith(f"memo of suite {suite}: ")
+    assert caplog.records[-1].getMessage().endswith(" 0 clears")
+    assert [key for key, times in Counter(stored).items() if times > 1] == []
+
+
+def test_a_check_command_computes_each_restricted_game_once(
+    fixture_dir, monkeypatch, capsys
+):
+    stored = _record_puts(monkeypatch)
+    suites = ("--suite", "network-extension", "--suite", "network-operators")
+    assert main(["check", str(fixture_dir), *suites]) == 0
+    capsys.readouterr()
+    restricted = [k for k in stored if k[0] is restricted_game.__wrapped__]
+    assert restricted and len(set(restricted)) == len(restricted)
+    assert memo._memo is None
 
 
 def test_memo_past_its_budget_is_emptied(monkeypatch, caplog):
@@ -147,8 +184,16 @@ def test_memo_past_its_budget_is_emptied(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="tugx"):
         reports = [r.to_dict() for s in suites for r in check_theorem_suite(s, corpus)]
     assert held and max(held) <= budget
-    clears = [int(m) for m in re.findall(r"(\d+) clears", caplog.text)]
-    assert len(clears) == len(reports) and sum(clears) > 0
+    # one line per check, then one for its suite that counts them all
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == len(reports) + len(suites)
+    clears = [int(re.search(r"(\d+) clears$", line)[1]) for line in lines]
+    assert sum(clears) > 0
+    ends = [i for i, line in enumerate(lines) if line.startswith("memo of suite ")]
+    assert [lines[i].split(":")[0] for i in ends] == [f"memo of suite {s}" for s in suites]
+    assert ends[-1] == len(lines) - 1
+    for first, end in zip([0] + [i + 1 for i in ends], ends):
+        assert clears[end] == sum(clears[first:end])
     _memo_off(monkeypatch)
     assert reports == [r.to_dict() for s in suites for r in check_theorem_suite(s, corpus)]
 
