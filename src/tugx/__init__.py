@@ -68,7 +68,6 @@ from .comm import (
     MYERSON_SOLUTION,
     all_graphs,
     complete_graph,
-    component_surplus_share,
     components,
     empty_graph,
     myerson,
@@ -81,7 +80,6 @@ from .coalition import (
     Partition,
     aumann_dreze,
     block_of,
-    cycle_balance_residual,
     extend_with_null,
     make_partition,
     remove_player,
@@ -129,10 +127,8 @@ _AXIOM_NAMES = (
     "check_axiom",
     "check_theorem_suite",
     "graph_operator_subject",
-    "graph_subject",
     "operator_subject",
     "partition_operator_subject",
-    "partition_subject",
     "value_subject",
 )
 

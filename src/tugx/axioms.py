@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, permutations
 from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple
@@ -43,10 +43,19 @@ from .coalition import (
     Partition,
     block_of,
     cycle_sums,
+    owed_totals,
     removal_outcomes,
     split_off,
 )
-from .comm import GRAPH, MYERSON_SOLUTION, Graph, all_graphs, components
+from .comm import (
+    GRAPH,
+    MYERSON_SOLUTION,
+    Graph,
+    all_graphs,
+    complete_graph,
+    components,
+    empty_graph,
+)
 from .errors import DomainViolation, IncompatibleSubject, MissingStructure, UnknownName
 from .games import (
     DEFAULT_TOL,
@@ -158,10 +167,6 @@ def value_subject(target: Solution, benchmark: Solution | None = None) -> Subjec
     return Subject(target, target.reads, benchmark)
 
 
-# A rule's subject follows from the structure the rule reads.
-graph_subject = partition_subject = value_subject
-
-
 def operator_subject(target: Operator, pool: tuple = DEFAULT_BENCHMARKS) -> Subject:
     return Subject(target, None, pool=tuple(pool))
 
@@ -197,14 +202,7 @@ class AxiomReport:
         return f"[{tag}] {self.axiom} :: {self.subject} (cases={self.cases}){extra}"
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "subject": self.subject,
-            "verdict": self.verdict,
-            "cases": self.cases,
-            "witness": self.witness,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _example_games() -> tuple[Game, ...]:
@@ -268,7 +266,7 @@ class Corpus:
                 graphs = list(all_graphs(v.players))
             else:
                 pairs = list(combinations(v.players, 2))
-                graphs = [Graph(v.players, frozenset()), Graph(v.players, frozenset(pairs))]
+                graphs = [empty_graph(v.players), complete_graph(v.players)]
                 for _ in range(GRAPHS_PER_GAME):
                     chosen = [p for p in pairs if rng.random() < 0.5]
                     graphs.append(Graph(v.players, frozenset(chosen)))
@@ -476,11 +474,13 @@ def _invariance_partners(f, v: Game, i: int) -> list[Game]:
 
     Every candidate is screened against the exact hypothesis later, so this
     only needs to propose games likely to satisfy it for this benchmark.
-    A one-player game has only the scaled partner.
+    A one-player game has only the scaled partner, and a game with a worth
+    that doubles past the float range has no scaled partner.
     """
+    scaled = [_scaled_game(v)] if 2.0 * max(map(abs, v.worth)) < math.inf else []
     others = [p for p in v.players if p != i]
     if not others:
-        return [_scaled_game(v)]
+        return scaled
     partners = []
     if v.n >= 3:
         partners.append(permute_game(v, _rotation_fixing(v.players, i)))
@@ -494,8 +494,7 @@ def _invariance_partners(f, v: Game, i: int) -> list[Game]:
         partners.append(_edited_game(w, w.full_mask, 0.5))
     if f.worths in (GRAND_WORTH, NO_WORTHS):
         partners.append(_edited_game(v, v.bit(others[0]), 0.5))
-    partners.append(_scaled_game(v))
-    return partners
+    return partners + scaled
 
 
 def _surplus_stats(f, v: Game) -> tuple[Allocation, float, float]:
@@ -548,7 +547,7 @@ def _part_totals(subject, corpus, tol, share=None):
     what C is owed: its worth v(C) when share is None; v(C) plus |C|/n of the
     surplus of v(N) over the components' worths when share is "worth"; the
     benchmark's total on C plus |C|/n of the surplus of v(N) over the
-    benchmark's total when share is "benchmark".
+    benchmark's total, ``owed_totals``, when share is "benchmark".
     """
     phi = subject.target
     F = _benchmark(subject) if share == "benchmark" else None
@@ -561,18 +560,18 @@ def _part_totals(subject, corpus, tol, share=None):
         outs = (out,) if bench is None else pair
         parts = components(s) if part == "component" else s
         if bench is not None:
-            surplus = v.grand - total_of(bench.values, "the benchmark total")
+            owed = owed_totals(v, bench, parts)
         elif share is not None:
             surplus = v.grand - total_of(map(v.value, parts), "the parts' worth total")
         for C in parts:
             members = sorted(C)
             got = total_of((out[i] for i in members), "a part's payoff total")
-            if bench is None:
-                want = v.value(C)
+            if bench is not None:
+                want = next(owed)
             else:
-                want = total_of((bench[i] for i in members), "a part's benchmark total")
-            if share is not None:
-                want += len(C) * surplus / v.n
+                want = v.value(C)
+                if share is not None:
+                    want += len(C) * surplus / v.n
             yield None if _agree(tol, got, want, *outs) else _witness(
                 v, s, **{part: members}, total=got, required=want
             )

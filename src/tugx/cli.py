@@ -195,7 +195,8 @@ def _cmd_solve(args) -> int:
         raise ValueError("-f/--benchmark only applies with --operator")
     name = args.benchmark or args.solution
     f = named_solution(name, anchor)
-    sol = wrap(named_operator(args.operator, anchor), f) if args.operator else f
+    op = named_operator(args.operator, anchor) if args.operator else None
+    sol = wrap(op, f) if op else f
     v = gf.game
     # under --operator the composed rule is the one that needs the structure
     structure = _structure(gf, sol, sol.name if args.operator else name)
@@ -210,7 +211,12 @@ def _cmd_solve(args) -> int:
         )
         return 0
     bench = f(v, *structure)
-    out = sol(v, *structure)
+
+    def bench_at_v(w: Game, *at: object) -> Allocation:
+        return bench if w is v else f.aligned(w, *at)
+
+    # the composed rule, handed the benchmark payoffs already computed at v
+    out = replace(sol, func=lambda w, *at: op(bench_at_v, w, *at))(v, *structure)
     _emit(
         {
             "operator": args.operator,

@@ -4,21 +4,23 @@ A partition groups the players into disjoint blocks.  Rules that read
 ``PARTITION`` take a game together with a partition of its players.  A
 block of k players has (k - 1)! removal cycles but only k removals, and
 ``removal_outcomes`` evaluates each once: the cyclic-removal-balance
-check, ``cycle_balance_residual`` and the induction solver all take their
-terms from it, and ``cycle_sums`` any cycle's two sums.  ``aumann_dreze``
-reuses its results within an axiom check (see ``memo``).  The induction
-solver reconstructs the equal-surplus extension of a benchmark from
-removal cycles on a null-extended game plus block-sum constraints.  Its
-block arithmetic, ``settle_blocks`` and ``slack``, is shared with the
-fairness induction solver of ``comm``.
+check and the induction solver both take their terms from it, and
+``cycle_sums`` any cycle's two sums.  ``aumann_dreze`` reuses its results
+within an axiom check (see ``memo``).  The induction solver reconstructs
+the equal-surplus extension of a benchmark from removal cycles on a
+null-extended game plus block-sum constraints.  Its block arithmetic,
+``settle_blocks`` and ``slack``, is shared with the fairness induction
+solver of ``comm``.  What a block or component is owed, ``owed_totals``,
+is written once: ``settle_blocks`` and the relative-surplus fairness
+checks of ``axioms`` both take it from here.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainViolation, InconsistentSystem
+from .errors import InconsistentSystem
 from .games import DEFAULT_TOL, Game, Tolerance, _relabel, subgame, total_of
 from .memo import reuse
 from .solutions import Allocation, Solution, Structure, shapley
@@ -132,32 +134,25 @@ def cycle_sums(
     return total_of(succ, "a removal cycle"), total_of(pred, "a removal cycle")
 
 
-def cycle_balance_residual(
-    F: PartitionBenchmark,
-    v: Game,
-    P: Partition,
-    block: Iterable[int],
-    order: Sequence[int] | None = None,
-) -> float:
-    """Removal-cycle imbalance of F around a block, 0 when balanced: the
-    difference of the two ``cycle_sums`` of the order (sorted members by
-    default).  Single-member blocks are balanced and skip evaluation."""
-    blk = frozenset(block)
-    if blk not in set(P):
-        raise DomainViolation(f"{tuple(sorted(blk))} is not a block")
-    cycle = tuple(order) if order is not None else tuple(sorted(blk))
-    if set(cycle) != blk or len(cycle) != len(blk):
-        raise ValueError("order must list each block member exactly once")
-    if len(cycle) == 1:
-        return 0.0
-    succ, pred = cycle_sums(removal_outcomes(F, v, P, blk), cycle)
-    return succ - pred
-
-
 def slack(tol: Tolerance, values: Iterable[float]) -> float:
     """How far an induction solver's equations may miss: a thousand times
     the tolerance at the largest of 1 and the magnitudes of values."""
     return 1000.0 * (tol.abs_eps + tol.rel_eps * max([1.0, *map(abs, values)]))
+
+
+def owed_totals(
+    v: Game, bench: Allocation, parts: Iterable[Iterable[int]]
+) -> Iterator[float]:
+    """What each part is owed, part by part: the benchmark's total on the
+    part's sorted members plus a head-count share of the surplus of v(N)
+    over the benchmark's total.  The surplus is summed at once, the parts
+    as they are read."""
+    surplus = v.grand - total_of(bench.values, "the benchmark total")
+    return (
+        total_of([bench[i] for i in sorted(part)], "a part's benchmark total")
+        + len(part) * surplus / v.n
+        for part in parts
+    )
 
 
 def settle_blocks(
@@ -168,20 +163,14 @@ def settle_blocks(
 ) -> dict[int, float]:
     """Payoffs of an induction solver, block by block.
 
-    Each block's payoff total is its benchmark total plus a head-count share
-    of the surplus of v(N) over the benchmark's total.  ``relative(members)``
-    gives the members' payoffs, in sorted order, up to one common shift;
-    they are shifted equally to meet the block total.
+    Each block's payoff total is what ``owed_totals`` owes it.
+    ``relative(members)`` gives the members' payoffs, in sorted order, up to
+    one common shift; they are shifted equally to meet the block total.
     """
-    surplus = v.grand - total_of(bench.values, "the benchmark total")
+    parts = [sorted(blk) for blk in blocks]
     payoffs: dict[int, float] = {}
-    for blk in blocks:
-        members = sorted(blk)
+    for members, block_total in zip(parts, owed_totals(v, bench, parts)):
         k = len(members)
-        block_total = (
-            total_of([bench[i] for i in members], "a block's benchmark total")
-            + k * surplus / v.n
-        )
         rel = relative(members)
         shift = (block_total - total_of(rel, "a block's relative payoffs")) / k
         for i, r in zip(members, rel):

@@ -14,8 +14,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .coalition import settle_blocks, slack
-from .errors import DomainViolation, InconsistentSystem
-from .games import DEFAULT_TOL, Game, Tolerance, total_of
+from .errors import InconsistentSystem
+from .games import DEFAULT_TOL, Game, Tolerance
 from .memo import reuse
 from .solutions import Allocation, Solution, Structure, shapley
 
@@ -210,19 +210,6 @@ GRAPH = Structure("graph", _aligned_graph)
 MYERSON_SOLUTION = Solution("myerson", myerson, reads=GRAPH)
 
 GraphBenchmark = Callable[[Game, Graph], Allocation]
-
-
-def component_surplus_share(
-    F: GraphBenchmark, v: Game, g: Graph, block: Iterable[int]
-) -> float:
-    """Benchmark total of a component plus its head-count surplus share."""
-    blk = frozenset(block)
-    if blk not in components(g):
-        raise DomainViolation(f"{tuple(sorted(blk))} is not a component")
-    out = F(v, g)
-    surplus = v.grand - total_of(out.values, "the benchmark total")
-    block_total = total_of((out[i] for i in sorted(blk)), "a component's benchmark total")
-    return block_total + len(blk) * surplus / v.n
 
 
 def solve_by_fairness_induction(

@@ -11,20 +11,20 @@ import time
 
 import pytest
 
-from tugx.axioms import Corpus, check_axiom, operator_subject, value_subject, partition_subject
+from tugx.axioms import Corpus, check_axiom, operator_subject, value_subject
 from tugx.cli import main
 from tugx.coalition import (
     AUMANN_DREZE,
     aumann_dreze,
-    cycle_balance_residual,
+    cycle_sums,
     make_partition,
+    removal_outcomes,
     solve_by_cycle_balance_induction,
 )
 from tugx.comm import (
     MYERSON_SOLUTION,
     Graph,
     all_graphs,
-    component_surplus_share,
     components,
     myerson,
     solve_by_fairness_induction,
@@ -96,10 +96,9 @@ def test_closed_form_fixture_values(duo, trio, halves):
     out = EE_MYERSON(trio, link)
     for i, want in ((1, 7 / 6), (2, 7 / 6), (3, 2 / 3)):
         assert TOL.eq(out[i], want)
-    assert TOL.eq(
-        component_surplus_share(MYERSON_SOLUTION, trio, link, (1, 2)), 7 / 3
-    )
-    assert TOL.eq(component_surplus_share(MYERSON_SOLUTION, trio, link, (3,)), 2 / 3)
+    # each component's Myerson total plus its head-count share of the surplus
+    for comp, want in (((1, 2), 7 / 3), ((3,), 2 / 3)):
+        assert TOL.eq(math.fsum(out[i] for i in comp), want)
     blocks = make_partition([[1, 2], [3]], trio.players)
     out = aumann_dreze(trio, blocks)
     assert out.values == (0.5, 0.5, 0.0)
@@ -316,7 +315,7 @@ def test_negative_witnesses_found(trio):
     t0 = time.monotonic()
     corpus = Corpus.build(sizes=(2, 3, 4), per_size=6, seed=801)
     report = check_axiom(
-        "split-off-balance", partition_subject(EE_AUMANN_DREZE), corpus, TOL
+        "split-off-balance", value_subject(EE_AUMANN_DREZE), corpus, TOL
     )
     assert not report.passed
     assert report.witness is not None and "partition" in report.witness
@@ -324,9 +323,7 @@ def test_negative_witnesses_found(trio):
     link = Graph.from_pairs(trio.players, [(1, 2)])
     out = myerson(trio, link)
     assert out.total() == 1.0 != trio.grand
-    from tugx.axioms import graph_subject
-
-    report = check_axiom("efficiency", graph_subject(MYERSON_SOLUTION), corpus, TOL)
+    report = check_axiom("efficiency", value_subject(MYERSON_SOLUTION), corpus, TOL)
     assert not report.passed
     elapsed = time.monotonic() - t0
     print(
@@ -334,6 +331,12 @@ def test_negative_witnesses_found(trio):
         f"partition extension, efficiency fails for the graph value "
         f"({elapsed:.2f}s)"
     )
+
+
+def _cycle_residual(F, v, P, block):
+    """The imbalance of the removal cycle around a block in sorted order."""
+    succ, pred = cycle_sums(removal_outcomes(F, v, P, block), sorted(block))
+    return succ - pred
 
 
 def test_cycle_balance_preserved_under_extension():
@@ -348,8 +351,8 @@ def test_cycle_balance_preserved_under_extension():
                 for block in P:
                     if len(block) < 2:
                         continue
-                    r0 = cycle_balance_residual(AUMANN_DREZE, v, P, block)
-                    r1 = cycle_balance_residual(ext, v, P, block)
+                    r0 = _cycle_residual(AUMANN_DREZE, v, P, block)
+                    r1 = _cycle_residual(ext, v, P, block)
                     worst = max(worst, abs(r1 - r0))
                     checked += 1
     elapsed = time.monotonic() - t0

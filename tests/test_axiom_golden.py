@@ -21,10 +21,8 @@ from tugx.axioms import (
     check_axiom,
     check_theorem_suite,
     graph_operator_subject,
-    graph_subject,
     operator_subject,
     partition_operator_subject,
-    partition_subject,
     value_subject,
 )
 from tugx.coalition import AUMANN_DREZE
@@ -96,35 +94,35 @@ def golden_reports() -> dict[str, dict]:
         ),
         ("equal-cohesive-ratio-invariance", value_subject(ESS_VALUE, STAND_ALONE), positive),
         # graph family
-        ("efficiency", graph_subject(MYERSON_SOLUTION), general),
-        ("component-efficiency", graph_subject(MYERSON_SOLUTION), general),
-        ("component-efficiency", graph_subject(EE_MYERSON), general),
-        ("link-fairness", graph_subject(EE_MYERSON), general),
-        ("link-fairness", graph_subject(wrap(GRAPH_ESS_OPERATOR, ZERO)), general),
-        ("link-fairness-at-game", graph_subject(EE_MYERSON), general),
+        ("efficiency", value_subject(MYERSON_SOLUTION), general),
+        ("component-efficiency", value_subject(MYERSON_SOLUTION), general),
+        ("component-efficiency", value_subject(EE_MYERSON), general),
+        ("link-fairness", value_subject(EE_MYERSON), general),
+        ("link-fairness", value_subject(wrap(GRAPH_ESS_OPERATOR, ZERO)), general),
+        ("link-fairness-at-game", value_subject(EE_MYERSON), general),
         (
             "link-fairness-at-game",
-            graph_subject(wrap(GRAPH_ESS_OPERATOR, freeze_solution(MYERSON_SOLUTION, v0, g0))),
+            value_subject(wrap(GRAPH_ESS_OPERATOR, freeze_solution(MYERSON_SOLUTION, v0, g0))),
             general,
         ),
-        ("component-surplus-fairness", graph_subject(EE_MYERSON), general),
-        ("component-surplus-fairness", graph_subject(wrap(GRAPH_ESS_OPERATOR, ZERO)), general),
-        ("relative-component-surplus-fairness", graph_subject(EE_MYERSON, ZERO), general),
+        ("component-surplus-fairness", value_subject(EE_MYERSON), general),
+        ("component-surplus-fairness", value_subject(wrap(GRAPH_ESS_OPERATOR, ZERO)), general),
+        ("relative-component-surplus-fairness", value_subject(EE_MYERSON, ZERO), general),
         # partition family
-        ("efficiency", partition_subject(AUMANN_DREZE), general),
-        ("split-off-balance", partition_subject(AUMANN_DREZE), general),
-        ("split-off-balance", partition_subject(EE_AUMANN_DREZE), general),
-        ("cyclic-removal-balance", partition_subject(AUMANN_DREZE), general),
-        ("cyclic-removal-balance", partition_subject(EE_AUMANN_DREZE), general),
-        ("cyclic-removal-balance-at-game", partition_subject(EE_AUMANN_DREZE), general),
+        ("efficiency", value_subject(AUMANN_DREZE), general),
+        ("split-off-balance", value_subject(AUMANN_DREZE), general),
+        ("split-off-balance", value_subject(EE_AUMANN_DREZE), general),
+        ("cyclic-removal-balance", value_subject(AUMANN_DREZE), general),
+        ("cyclic-removal-balance", value_subject(EE_AUMANN_DREZE), general),
+        ("cyclic-removal-balance-at-game", value_subject(EE_AUMANN_DREZE), general),
         (
             "cyclic-removal-balance-at-game",
-            partition_subject(wrap(PARTITION_ESS_OPERATOR, freeze_solution(AUMANN_DREZE, w0, P0))),
+            value_subject(wrap(PARTITION_ESS_OPERATOR, freeze_solution(AUMANN_DREZE, w0, P0))),
             general,
         ),
-        ("null-player-gap", partition_subject(EE_AUMANN_DREZE, AUMANN_DREZE), general),
-        ("null-player-gap", partition_subject(EE_AUMANN_DREZE, ZERO), general),
-        ("relative-block-surplus-fairness", partition_subject(EE_AUMANN_DREZE, ZERO), general),
+        ("null-player-gap", value_subject(EE_AUMANN_DREZE, AUMANN_DREZE), general),
+        ("null-player-gap", value_subject(EE_AUMANN_DREZE, ZERO), general),
+        ("relative-block-surplus-fairness", value_subject(EE_AUMANN_DREZE, ZERO), general),
         # operator family
         ("efficiency", operator_subject(PS_OPERATOR), general),
         ("cohesive-efficiency", operator_subject(COHESIVE_ESS_OPERATOR), general),

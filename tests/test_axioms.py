@@ -17,10 +17,8 @@ from tugx.axioms import (
     THEOREM_SUITES,
     check_axiom,
     check_theorem_suite,
-    graph_subject,
     operator_subject,
     partition_operator_subject,
-    partition_subject,
     value_subject,
 )
 from tugx.coalition import AUMANN_DREZE, PARTITION, make_partition, remove_player
@@ -127,10 +125,10 @@ def test_shapley_is_not_surplus_invariant(corpus):
 
 
 def test_myerson_fails_plain_efficiency(corpus):
-    report = check_axiom("efficiency", graph_subject(MYERSON_SOLUTION), corpus)
+    report = check_axiom("efficiency", value_subject(MYERSON_SOLUTION), corpus)
     assert not report.passed
     report = check_axiom(
-        "component-efficiency", graph_subject(MYERSON_SOLUTION), corpus
+        "component-efficiency", value_subject(MYERSON_SOLUTION), corpus
     )
     assert report.passed
 
@@ -237,15 +235,15 @@ def test_absolute_vs_relative_component_fairness(corpus):
     # the benchmark-free share formula singles out the egalitarian extension
     # of the component-efficient rule; other benchmarks need the relative form
     ext = wrap(GRAPH_ESS_OPERATOR, ZERO)
-    report = check_axiom("component-surplus-fairness", graph_subject(ext), corpus)
+    report = check_axiom("component-surplus-fairness", value_subject(ext), corpus)
     assert not report.passed
     report = check_axiom(
-        "component-surplus-fairness", graph_subject(EE_MYERSON), corpus
+        "component-surplus-fairness", value_subject(EE_MYERSON), corpus
     )
     assert report.passed
     report = check_axiom(
         "relative-component-surplus-fairness",
-        graph_subject(ext, benchmark=ZERO),
+        value_subject(ext, benchmark=ZERO),
         corpus,
     )
     assert report.passed
@@ -253,10 +251,10 @@ def test_absolute_vs_relative_component_fairness(corpus):
 
 def test_split_off_balance_separates_extensions(corpus):
     assert check_axiom(
-        "split-off-balance", partition_subject(AUMANN_DREZE), corpus
+        "split-off-balance", value_subject(AUMANN_DREZE), corpus
     ).passed
     report = check_axiom(
-        "split-off-balance", partition_subject(EE_AUMANN_DREZE), corpus
+        "split-off-balance", value_subject(EE_AUMANN_DREZE), corpus
     )
     assert not report.passed
 
@@ -483,7 +481,7 @@ def test_removal_cycles_report_as_when_every_order_evaluated_its_removals(wide_g
             (weighted, "cyclic-removal-balance", loose),
         ]
         for rule, axiom, at in cases:
-            subject = partition_subject(rule)
+            subject = value_subject(rule)
             want = axioms._drive(axiom, rule.name, _per_order_cyclic(subject, corpus, at))
             got = check_axiom(axiom, subject, corpus, at)
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
@@ -514,7 +512,7 @@ def test_removal_cycles_evaluate_each_removal_once_per_block():
     calls = []
     report = check_axiom(
         "cyclic-removal-balance",
-        partition_subject(_counting_aumann_dreze(calls)),
+        value_subject(_counting_aumann_dreze(calls)),
         Corpus((), (), ((v, P),)),
     )
     assert report.passed and report.cases == math.factorial(5)
@@ -532,7 +530,7 @@ def _one_block(n):
 def test_removal_cycle_orders_are_capped_before_any_evaluation():
     corpus = Corpus((), (), (_one_block(11),))
     calls = []
-    subject = partition_subject(_counting_aumann_dreze(calls))
+    subject = value_subject(_counting_aumann_dreze(calls))
     for axiom in ("cyclic-removal-balance", "cyclic-removal-balance-at-game"):
         t0 = time.monotonic()
         with pytest.raises(ValueError) as refused:
@@ -547,7 +545,7 @@ def test_removal_cycle_orders_are_capped_before_any_evaluation():
 
 def test_removal_cycle_cap_admits_ten_members_and_refuses_eleven():
     calls = []
-    subject = partition_subject(_counting_aumann_dreze(calls))
+    subject = value_subject(_counting_aumann_dreze(calls))
     ten, eleven = _one_block(10), _one_block(11)
 
     def first_item(*pairs):
@@ -608,12 +606,12 @@ def test_partition_checks_skip_evaluations_outside_a_frozen_domain(axiom):
     # the subject, and how many evaluations it makes at an input off the
     # frozen cross domain: every one of them is skipped
     subject, skips = {
-        "relative-block-surplus-fairness": (partition_subject(ext, frozen), lambda P: 1),
+        "relative-block-surplus-fairness": (value_subject(ext, frozen), lambda P: 1),
         "split-off-balance": (
-            partition_subject(frozen),
+            value_subject(frozen),
             lambda P: sum(math.comb(len(B), 2) for B in P),
         ),
-        "null-player-gap": (partition_subject(ext, frozen), lambda P: 1),
+        "null-player-gap": (value_subject(ext, frozen), lambda P: 1),
         # the pool pair, then each benchmark's detached and swapped twins
         "operator-equal-surplus": (
             partition_operator_subject(PARTITION_ESS_OPERATOR, pool),

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -103,6 +104,39 @@ def test_solve_with_operator_shows_surplus(capsys, fixture_dir):
     # ps serves graph benchmarks too; trio's singleton total is 0
     code, _, err = run(capsys, "solve", trio, "--operator", "ps", "-f", "myerson")
     assert code == 2 and "positive singleton total" in err
+
+
+def test_solve_runs_the_benchmark_once_at_the_game(capsys, tmp_path, monkeypatch):
+    players = tuple(range(1, 7))
+    game = tmp_path / "six.json"
+    graph = Graph.from_pairs(players, zip(players, players[1:]))
+    game.write_text(render_game_text(random_game(players, seed=3), graph=graph))
+    anchor = tmp_path / "anchor.json"
+    anchor.write_text(render_game_text(random_game(players, seed=4)))
+    # an anchored operator runs the benchmark at its anchor too
+    invocations = (
+        (("--operator", "graph-ess", "-f", "myerson"), 1),
+        (("--operator", "anchored-ess", "--anchor", str(anchor), "-f", "standalone"), 2),
+    )
+    plain = [run(capsys, "solve", str(game), *argv) for argv, _ in invocations]
+    calls = []
+    real = cli.named_solution
+
+    def counting(*args, **kwargs):
+        f = real(*args, **kwargs)
+
+        def func(v, *structure):
+            calls.append(v.worth)
+            return f.func(v, *structure)
+
+        return replace(f, func=func)
+
+    monkeypatch.setattr(cli, "named_solution", counting)
+    for (argv, runs), want in zip(invocations, plain):
+        calls.clear()
+        assert run(capsys, "solve", str(game), *argv) == want
+        assert want[0] == 0
+        assert len(calls) == len(set(calls)) == runs
 
 
 def test_solve_error_statuses(capsys, fixture_dir, tmp_path):
@@ -379,6 +413,16 @@ def test_worth_beyond_float_range_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "solve", str(path), "-s", "shapley")
     assert code == 2 and out == ""
     assert err == f"error: {path}: worth entry 1 value is out of float range\n"
+
+
+def test_invariance_checks_skip_a_partner_past_the_float_range(capsys, tmp_path):
+    # doubling v({2}) leaves the float range, so no scaled partner is built
+    v = Game.from_table([1, 2], {(1,): 1.0, (2,): -1.7e308, (1, 2): 0.5})
+    (tmp_path / "edge.json").write_text(render_game_text(v))
+    for suite in ("surplus-values", "cohesive-operators"):
+        code, out, err = run(capsys, "check", str(tmp_path), "--suite", suite)
+        assert (code, err) == (0, "")
+        assert out.endswith("6 checks, 0 failed\n")
 
 
 def test_deeply_nested_json_exits_2(capsys, tmp_path):

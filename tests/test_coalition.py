@@ -9,7 +9,6 @@ from tugx.coalition import (
     PARTITION,
     aumann_dreze,
     block_of,
-    cycle_balance_residual,
     cycle_sums,
     extend_with_null,
     make_partition,
@@ -126,30 +125,6 @@ def test_extend_with_null_interleaved_ids():
     assert ext.value((1, 3, 5)) == 4.0
 
 
-def test_cycle_balance_residual(trio, pair_block):
-    # blockwise Shapley satisfies the balance exactly
-    resid = cycle_balance_residual(AUMANN_DREZE, trio, pair_block, frozenset({1, 2}))
-    assert abs(resid) < 1e-12
-    with pytest.raises(DomainViolation):
-        cycle_balance_residual(AUMANN_DREZE, trio, pair_block, frozenset({1, 3}))
-    with pytest.raises(ValueError):
-        cycle_balance_residual(
-            AUMANN_DREZE, trio, pair_block, frozenset({1, 2}), order=(1, 3)
-        )
-
-
-def test_singleton_residual_needs_no_evaluation(trio, pair_block):
-    calls = []
-
-    def loud(v, P):
-        calls.append(1)
-        return Allocation(v.players, (0.0,) * v.n)
-
-    sol = Solution("loud", loud, reads=PARTITION)
-    assert cycle_balance_residual(sol, trio, pair_block, frozenset({3})) == 0.0
-    assert not calls
-
-
 def test_cycle_sides_evaluate_each_removal_once():
     players = (1, 2, 3, 4, 5)
     v = random_game(players, seed=4)
@@ -169,7 +144,6 @@ def test_cycle_sides_evaluate_each_removal_once():
     succ, pred = cycle_sums(outcomes, cycle)
     assert succ == math.fsum(outcomes[cycle[(l + 1) % 4]][i] for l, i in enumerate(cycle))
     assert pred == math.fsum(outcomes[cycle[l - 1]][i] for l, i in enumerate(cycle))
-    assert cycle_balance_residual(AUMANN_DREZE, v, P, [1, 2, 4, 5], cycle) == succ - pred
 
 
 @given(seeds, st.integers(min_value=2, max_value=4))

@@ -10,7 +10,6 @@ from tugx.comm import (
     Graph,
     all_graphs,
     complete_graph,
-    component_surplus_share,
     components,
     empty_graph,
     myerson,
@@ -86,15 +85,6 @@ def test_ee_myerson_values(trio, pair_link):
     assert math.isclose(out[2], 7.0 / 6.0, abs_tol=1e-12)
     assert math.isclose(out[3], 2.0 / 3.0, abs_tol=1e-12)
     assert DEFAULT_TOL.eq(out.total(), trio.grand)
-
-
-def test_component_surplus_share(trio, pair_link):
-    share_12 = component_surplus_share(MYERSON_SOLUTION, trio, pair_link, (1, 2))
-    share_3 = component_surplus_share(MYERSON_SOLUTION, trio, pair_link, (3,))
-    assert math.isclose(share_12, 7.0 / 3.0, abs_tol=1e-12)
-    assert math.isclose(share_3, 2.0 / 3.0, abs_tol=1e-12)
-    with pytest.raises(DomainViolation):
-        component_surplus_share(MYERSON_SOLUTION, trio, pair_link, (1, 3))
 
 
 def test_graph_ess_solution(trio, pair_link):

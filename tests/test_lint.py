@@ -84,3 +84,48 @@ def test_dead_private_names_are_found():
 def test_no_dead_private_names():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert dead_private_names(sources) == []
+
+
+def _reads_fsum(node: ast.AST) -> bool:
+    """Whether a statement reads ``math.fsum`` or imports ``fsum`` from math."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr == "fsum":
+            if isinstance(sub.value, ast.Name) and sub.value.id == "math":
+                return True
+        elif isinstance(sub, ast.ImportFrom) and sub.module == "math":
+            if any(a.name == "fsum" for a in sub.names):
+                return True
+    return False
+
+
+def fsum_readers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level statement of the sources, keyed by
+    module, that reads ``math.fsum``, or ``module`` for a statement that
+    defines no name; sorted."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if _reads_fsum(node):
+                name = getattr(node, "name", None)
+                found.append(f"{module}.{name}" if name else module)
+    return sorted(found)
+
+
+def test_fsum_readers_are_found():
+    sources = {
+        "a": '"""math.fsum"""\nimport math\ndef f(): return math.fsum([])\ndef g(): pass\n',
+        "b": "from math import fsum\nclass C:\n    def h(self): return math.fsum\n",
+    }
+    assert fsum_readers(sources) == ["a.f", "b", "b.C"]
+
+
+def test_math_fsum_is_read_only_by_total_of_and_two_hot_loops():
+    # every other sum goes through games.total_of, which names an overflow;
+    # restricted_game and brute_force_partition_value keep bare fsum in
+    # their inner loops and name an overflow around the loop
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert fsum_readers(sources) == [
+        "comm.restricted_game",
+        "games.total_of",
+        "operators.brute_force_partition_value",
+    ]
