@@ -121,14 +121,11 @@ _AXIOM_NAMES = (
     "ALL_AXIOMS",
     "AxiomReport",
     "Corpus",
-    "DEFAULT_BENCHMARKS",
     "Subject",
     "THEOREM_SUITES",
     "check_axiom",
     "check_theorem_suite",
-    "graph_operator_subject",
     "operator_subject",
-    "partition_operator_subject",
     "value_subject",
 )
 

@@ -108,10 +108,9 @@ EXACT = Tolerance(0.0, 0.0)
 
 _KIND_OF = {shape: kind for kind, shape in SUBJECT_KINDS.items()}
 
-DEFAULT_BENCHMARKS = (STAND_ALONE, EQUAL_DIVISION, SHAPLEY, constant_solution(1.5))
 # Benchmark pools of operator subjects, by the structure their inputs carry.
 DEFAULT_POOLS = {
-    None: DEFAULT_BENCHMARKS,
+    None: (STAND_ALONE, EQUAL_DIVISION, SHAPLEY, constant_solution(1.5)),
     GRAPH: (MYERSON_SOLUTION, ZERO),
     PARTITION: (AUMANN_DREZE, ZERO),
 }
@@ -128,6 +127,8 @@ class Subject:
     """What a check is about: a rule or an operator, the structure its
     inputs carry (None for plain games, GRAPH or PARTITION), and the
     benchmark or benchmark pool that relative and operator checks use.
+    Without a pool, an operator gets DEFAULT_POOLS at its structure and a
+    rule gets none.
 
     Every rule involved must read that structure or none.
     """
@@ -135,11 +136,13 @@ class Subject:
     target: Any
     structure: Structure | None = None
     benchmark: Solution | None = None
-    pool: tuple = ()
+    pool: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.structure not in (None, GRAPH, PARTITION):
             raise ValueError(f"unknown structure {self.structure!r}")
+        default = DEFAULT_POOLS[self.structure] if self.is_operator else ()
+        object.__setattr__(self, "pool", default if self.pool is None else tuple(self.pool))
         for rule in (self.target, self.benchmark, *self.pool):
             reads = getattr(rule, "reads", None)
             if reads not in (None, self.structure):
@@ -167,20 +170,10 @@ def value_subject(target: Solution, benchmark: Solution | None = None) -> Subjec
     return Subject(target, target.reads, benchmark)
 
 
-def operator_subject(target: Operator, pool: tuple = DEFAULT_BENCHMARKS) -> Subject:
-    return Subject(target, None, pool=tuple(pool))
-
-
-def graph_operator_subject(
-    target: Operator, pool: tuple = DEFAULT_POOLS[GRAPH]
-) -> Subject:
-    return Subject(target, GRAPH, pool=tuple(pool))
-
-
-def partition_operator_subject(
-    target: Operator, pool: tuple = DEFAULT_POOLS[PARTITION]
-) -> Subject:
-    return Subject(target, PARTITION, pool=tuple(pool))
+def operator_subject(target: Operator, pool: tuple | None = None) -> Subject:
+    """An operator, checked over pool (its default pool if None) at the
+    inputs it reads."""
+    return Subject(target, target.reads, pool=pool)
 
 
 @dataclass(frozen=True)
@@ -558,20 +551,19 @@ def _part_totals(subject, corpus, tol, share=None):
             continue
         out, bench = pair
         outs = (out,) if bench is None else pair
-        parts = components(s) if part == "component" else s
+        parts = [sorted(C) for C in (components(s) if part == "component" else s)]
         if bench is not None:
             owed = owed_totals(v, bench, parts)
         elif share is not None:
             surplus = v.grand - total_of(map(v.value, parts), "the parts' worth total")
-        for C in parts:
-            members = sorted(C)
+        for members in parts:
             got = total_of((out[i] for i in members), "a part's payoff total")
             if bench is not None:
                 want = next(owed)
             else:
-                want = v.value(C)
+                want = v.value(members)
                 if share is not None:
-                    want += len(C) * surplus / v.n
+                    want += len(members) * surplus / v.n
             yield None if _agree(tol, got, want, *outs) else _witness(
                 v, s, **{part: members}, total=got, required=want
             )
@@ -939,7 +931,7 @@ _SUITES: dict[str, tuple] = {
     ),
     "network-operators": (
         (
-            graph_operator_subject(GRAPH_ESS_OPERATOR),
+            operator_subject(GRAPH_ESS_OPERATOR),
             (*_OPERATOR_AXIOMS, "operator-weak-equal-surplus"),
         ),
         *_relative_rows(GRAPH_ESS_OPERATOR, "relative-component-surplus-fairness"),
@@ -963,7 +955,7 @@ _SUITES: dict[str, tuple] = {
     ),
     "partition-operators": (
         (
-            partition_operator_subject(PARTITION_ESS_OPERATOR),
+            operator_subject(PARTITION_ESS_OPERATOR),
             (*_OPERATOR_AXIOMS, "operator-weak-equal-surplus"),
         ),
         *_relative_rows(PARTITION_ESS_OPERATOR, "relative-block-surplus-fairness"),

@@ -130,14 +130,13 @@ def _structure(gf: GameFile, rule, name: str) -> tuple:
 def _subject(args, anchor: Game | None) -> Subject:
     """--target and the structure of its inputs, as named_target reads them
     under --kind."""
-    from .axioms import DEFAULT_POOLS, Subject
+    from .axioms import Subject
 
     target, structure = named_target(args.target, anchor, args.kind)
     benchmark = named_solution(args.benchmark, anchor) if args.benchmark else None
+    pool = None
     if args.pool:
         pool = tuple(named_solution(n.strip(), anchor) for n in args.pool.split(","))
-    else:
-        pool = DEFAULT_POOLS[structure] if isinstance(target, Operator) else ()
     return Subject(target, structure, benchmark, pool)
 
 
@@ -215,8 +214,8 @@ def _cmd_solve(args) -> int:
     def bench_at_v(w: Game, *at: object) -> Allocation:
         return bench if w is v else f.aligned(w, *at)
 
-    # the composed rule, handed the benchmark payoffs already computed at v
-    out = replace(sol, func=lambda w, *at: op(bench_at_v, w, *at))(v, *structure)
+    # the operator, handed the benchmark payoffs already computed at v
+    out = op(bench_at_v, v, *structure)
     _emit(
         {
             "operator": args.operator,

@@ -141,15 +141,15 @@ def slack(tol: Tolerance, values: Iterable[float]) -> float:
 
 
 def owed_totals(
-    v: Game, bench: Allocation, parts: Iterable[Iterable[int]]
+    v: Game, bench: Allocation, parts: Iterable[Sequence[int]]
 ) -> Iterator[float]:
     """What each part is owed, part by part: the benchmark's total on the
-    part's sorted members plus a head-count share of the surplus of v(N)
-    over the benchmark's total.  The surplus is summed at once, the parts
-    as they are read."""
+    part's members, given sorted, plus a head-count share of the surplus of
+    v(N) over the benchmark's total.  The surplus is summed at once, the
+    parts as they are read."""
     surplus = v.grand - total_of(bench.values, "the benchmark total")
     return (
-        total_of([bench[i] for i in sorted(part)], "a part's benchmark total")
+        total_of([bench[i] for i in part], "a part's benchmark total")
         + len(part) * surplus / v.n
         for part in parts
     )

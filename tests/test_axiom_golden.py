@@ -20,9 +20,7 @@ from tugx.axioms import (
     THEOREM_SUITES,
     check_axiom,
     check_theorem_suite,
-    graph_operator_subject,
     operator_subject,
-    partition_operator_subject,
     value_subject,
 )
 from tugx.coalition import AUMANN_DREZE
@@ -129,15 +127,15 @@ def golden_reports() -> dict[str, dict]:
         ("cohesive-efficiency", operator_subject(ESS_OPERATOR), general),
         ("cohesive-efficiency", operator_subject(COHESIVE_PS_OPERATOR), positive),
         ("operator-equal-treatment", operator_subject(PS_OPERATOR), general),
-        ("operator-equal-treatment", graph_operator_subject(GRAPH_ESS_OPERATOR), general),
+        ("operator-equal-treatment", operator_subject(GRAPH_ESS_OPERATOR), general),
         ("operator-equal-surplus", operator_subject(anchored_ess_operator(anchor)), general),
         (
             "operator-equal-surplus",
             operator_subject(anchored_ess_operator(anchor), (STAND_ALONE, LEAD_SINGLETON)),
             examples,
         ),
-        ("operator-equal-surplus", graph_operator_subject(GRAPH_ESS_OPERATOR), general),
-        ("operator-equal-surplus", partition_operator_subject(PARTITION_ESS_OPERATOR), general),
+        ("operator-equal-surplus", operator_subject(GRAPH_ESS_OPERATOR), general),
+        ("operator-equal-surplus", operator_subject(PARTITION_ESS_OPERATOR), general),
         ("operator-weak-equal-surplus", operator_subject(ESS_OPERATOR), duos),
         ("operator-weak-equal-surplus", operator_subject(PS_OPERATOR), general),
         ("operator-weak-equal-surplus", operator_subject(anchored_ess_operator(anchor)), general),

@@ -18,11 +18,10 @@ from tugx.axioms import (
     check_axiom,
     check_theorem_suite,
     operator_subject,
-    partition_operator_subject,
     value_subject,
 )
 from tugx.coalition import AUMANN_DREZE, PARTITION, make_partition, remove_player
-from tugx.comm import MYERSON_SOLUTION
+from tugx.comm import GRAPH, MYERSON_SOLUTION, components
 from tugx.errors import IncompatibleSubject, UnknownName
 from tugx.games import (
     GENERAL,
@@ -294,31 +293,57 @@ def _largest_worth(c: float) -> Solution:
     return Solution(f"largest-worth+{c:g}", func)
 
 
+def _part_worth_rule(structure, seed: int, c: float) -> Solution:
+    """A seeded weight in [-1, 1] per player times the worth of the player's
+    component (graph) or block (partition), plus c."""
+
+    def func(v, s):
+        rng = random.Random(100 * seed + v.n)
+        home = {i: C for C in (components(s) if structure is GRAPH else s) for i in C}
+        payoffs = (rng.randint(-8, 8) / 8 * v.value(home[i]) + c for i in v.players)
+        return Allocation(v.players, tuple(payoffs))
+
+    return Solution(f"{structure.name}-worth:{seed}+{c:g}", func, reads=structure)
+
+
 _ARBITRARY_POOL = (*map(_linear_rule, range(3)), _largest_worth(0.0), _largest_worth(1.0))
 
 
 def test_operators_over_arbitrary_benchmarks():
-    # the operator axioms hold for any benchmark, linear or not; the
-    # anchored operators read the benchmark away from the game played
-    corpus = Corpus.build(sizes=(2, 3, 4), per_size=2, seed=3)
+    # the operator axioms hold for any benchmark, linear or not, and at
+    # graphs and partitions for benchmarks that read them; the anchored
+    # operators read the benchmark away from the game played
     checked = (
         "efficiency",
         "operator-equal-treatment",
         "operator-equal-surplus",
         "operator-weak-equal-surplus",
     )
-    for op in (ESS_OPERATOR, PS_OPERATOR, weighted_operator(0.5)):
-        subject = operator_subject(op, _ARBITRARY_POOL)
-        for axiom in checked:
-            report = check_axiom(axiom, subject, corpus)
-            assert report.passed and report.cases > 0, (op.name, axiom)
-            # ps leaves its domain where a benchmark total is not positive
-            assert ("skipped" in report.note) == (op is PS_OPERATOR), (op.name, axiom)
-    anchor = next(v for v in corpus.games if v.n == 3)
-    for op in (anchored_ess_operator(anchor), anchored_ps_operator(anchor)):
-        subject = operator_subject(op, _ARBITRARY_POOL)
-        report = check_axiom("operator-equal-surplus", subject, corpus)
-        assert not report.passed, op.name
+    plain = Corpus.build(sizes=(2, 3, 4), per_size=2, seed=3)
+    structured = Corpus.build(sizes=(2, 3, 4), per_size=1, seed=3)
+    rows = [(None, ESS_OPERATOR, _ARBITRARY_POOL, plain, (PS_OPERATOR,))]
+    for structure, ess in ((GRAPH, GRAPH_ESS_OPERATOR), (PARTITION, PARTITION_ESS_OPERATOR)):
+        pool = (
+            _part_worth_rule(structure, 0, 0.0),
+            _part_worth_rule(structure, 1, 1.0),
+            _ARBITRARY_POOL[3],
+        )
+        # at a structure the pool also reaches zero-sum benchmarks, where
+        # the blend divides by a benchmark total too
+        rows.append((structure, ess, pool, structured, (PS_OPERATOR, weighted_operator(0.5))))
+    for structure, ess, pool, corpus, skipping in rows:
+        for op in (ess, PS_OPERATOR, weighted_operator(0.5)):
+            subject = Subject(op, structure, pool=pool)
+            for axiom in checked:
+                report = check_axiom(axiom, subject, corpus)
+                assert report.passed and report.cases > 0, (op.name, subject.kind, axiom)
+                # ps leaves its domain where a benchmark total is not positive
+                assert ("skipped" in report.note) == (op in skipping), (op.name, axiom)
+        anchor = next(v for v in corpus.games if v.n == 3)
+        for op in (anchored_ess_operator(anchor), anchored_ps_operator(anchor)):
+            subject = Subject(op, structure, pool=pool)
+            report = check_axiom("operator-equal-surplus", subject, corpus)
+            assert not report.passed, (op.name, subject.kind)
 
 
 def test_operator_equal_surplus_on_one_player_games():
@@ -614,7 +639,7 @@ def test_partition_checks_skip_evaluations_outside_a_frozen_domain(axiom):
         "null-player-gap": (value_subject(ext, frozen), lambda P: 1),
         # the pool pair, then each benchmark's detached and swapped twins
         "operator-equal-surplus": (
-            partition_operator_subject(PARTITION_ESS_OPERATOR, pool),
+            operator_subject(PARTITION_ESS_OPERATOR, pool),
             lambda P: 1 + len(pool) * 2 * len(players),
         ),
     }[axiom]
@@ -630,8 +655,21 @@ def test_partition_checks_skip_evaluations_outside_a_frozen_domain(axiom):
 
 
 def test_operator_checks_refuse_a_subject_without_a_pool(corpus):
-    subject = partition_operator_subject(PARTITION_ESS_OPERATOR, pool=())
+    subject = operator_subject(PARTITION_ESS_OPERATOR, pool=())
     with pytest.raises(
         IncompatibleSubject, match="^operator-equal-surplus needs a benchmark pool$"
     ):
         check_axiom("operator-equal-surplus", subject, corpus)
+
+
+def test_a_subject_without_a_pool_gets_its_structures_default():
+    for structure in (None, GRAPH, PARTITION):
+        for op in (ESS_OPERATOR, PS_OPERATOR):
+            assert Subject(op, structure).pool == axioms.DEFAULT_POOLS[structure]
+        # a rule needs no pool, and an explicit empty pool stays empty
+        assert Subject(wrap(ESS_OPERATOR, STAND_ALONE), structure).pool == ()
+        assert Subject(ESS_OPERATOR, structure, pool=()).pool == ()
+    for op, structure in ((GRAPH_ESS_OPERATOR, GRAPH), (PARTITION_ESS_OPERATOR, PARTITION)):
+        assert operator_subject(op) == Subject(op, structure)
+        assert operator_subject(op).pool == axioms.DEFAULT_POOLS[structure]
+    assert operator_subject(ESS_OPERATOR, [SHAPLEY]).pool == (SHAPLEY,)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tugx import cli
-from tugx.axioms import ALL_AXIOMS, THEOREM_SUITES, _CHECKERS
+from tugx.axioms import ALL_AXIOMS, THEOREM_SUITES, _CHECKERS, Corpus, Subject, check_axiom
 from tugx.cli import main
 from tugx.coalition import make_partition
 from tugx.comm import Graph, empty_graph
@@ -23,6 +23,11 @@ from tugx.errors import UnknownName
 from tugx.games import Game, random_game
 from tugx.io import load_game_file, render_game_text, significant
 from tugx.operators import (
+    ESS_OPERATOR,
+    GRAPH_ESS_OPERATOR,
+    PARTITION_ESS_OPERATOR,
+    PS_OPERATOR,
+    SUBJECT_KINDS,
     brute_force_partition_value,
     max_partition_value,
     named_graph_solution,
@@ -573,6 +578,25 @@ def test_check_operator_kind(capsys):
         "standalone,ed,shapley",
     )
     assert code == 0 and "[PASS] operator-equal-surplus :: ess" in out
+
+
+def test_check_without_a_pool_checks_the_subjects_default_pool(capsys):
+    # the command builds the same subject as the library, default pool and all
+    corpus = Corpus.build(sizes=(2, 3), per_size=1, seed=3)
+    targets = {
+        "ess": (ESS_OPERATOR, ("operator", "graph-operator", "partition-operator")),
+        "ps": (PS_OPERATOR, ("operator", "graph-operator", "partition-operator")),
+        "graph-ess": (GRAPH_ESS_OPERATOR, ("graph-operator",)),
+        "partition-ess": (PARTITION_ESS_OPERATOR, ("partition-operator",)),
+    }
+    for name, (op, kinds) in targets.items():
+        for kind in kinds:
+            argv = ("check", "gen:n=2-3,count=1,seed=3", "--axiom", "efficiency")
+            code, out, _ = run(capsys, *argv, "--target", name, "--kind", kind, "--json")
+            subject = Subject(op, SUBJECT_KINDS[kind][0])
+            report = check_axiom("efficiency", subject, corpus)
+            assert code == 0, (name, kind)
+            assert json.loads(out)["reports"] == [json.loads(json.dumps(report.to_dict()))]
 
 
 def test_oracle_matches(capsys, tmp_path, fixture_dir):

@@ -8,14 +8,13 @@ from hypothesis import given, strategies as st
 from tugx import operators
 from tugx.axioms import (
     Corpus,
+    Subject,
     check_axiom,
-    graph_operator_subject,
     operator_subject,
-    partition_operator_subject,
     value_subject,
 )
-from tugx.coalition import AUMANN_DREZE, make_partition
-from tugx.comm import MYERSON_SOLUTION, Graph
+from tugx.coalition import AUMANN_DREZE, PARTITION, make_partition
+from tugx.comm import GRAPH, MYERSON_SOLUTION, Graph
 from tugx.errors import DomainViolation, UnknownName
 from tugx.games import (
     DEFAULT_TOL,
@@ -733,8 +732,8 @@ def test_ps_operator_over_graph_and_partition_benchmarks():
 def test_ps_operator_axioms_over_graphs_and_partitions():
     corpus = Corpus.build(sizes=(2, 3, 4), per_size=3, seed=5, profile=POSITIVE_SINGLETONS)
     for subject in (
-        graph_operator_subject(PS_OPERATOR, (MYERSON_SOLUTION,)),
-        partition_operator_subject(PS_OPERATOR, (AUMANN_DREZE,)),
+        Subject(PS_OPERATOR, GRAPH, pool=(MYERSON_SOLUTION,)),
+        Subject(PS_OPERATOR, PARTITION, pool=(AUMANN_DREZE,)),
     ):
         for axiom in ("efficiency", "operator-equal-treatment"):
             report = check_axiom(axiom, subject, corpus)

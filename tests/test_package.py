@@ -12,6 +12,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -44,12 +45,26 @@ def _defining_modules() -> dict[str, list[str]]:
     return defined
 
 
-def _tracer_modules() -> tuple[str, ...]:
-    """The module names the benchmark's tracer looks up on the package."""
+def _tracer():
+    """The benchmark's tracer module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.MODULES
+    return tracer
+
+
+def _metric_spans() -> set[str]:
+    """The ``module.function`` spans that ``perfbench/metrics.py`` reads by a
+    literal name."""
+    tree = ast.parse((ROOT / "perfbench" / "metrics.py").read_text(encoding="utf-8"))
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"_calls", "_self_s", "_total_s", "_repeat_ratio", "_ns_per_unit"}
+        and isinstance(node.args[0], ast.Constant)
+    }
 
 
 def test_public_names_are_the_defining_modules_objects():
@@ -59,6 +74,25 @@ def test_public_names_are_the_defining_modules_objects():
         (module,) = defined[name]
         source = importlib.import_module(f"tugx.{module}")
         assert getattr(tugx, name) is getattr(source, name), name
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # a name the benchmark reads may not leave the package unnoticed
+    read = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        read |= set(re.findall(r"\btugx\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
+    assert {"named_graph_solution", "named_partition_solution"} <= read
+    for name in read:
+        assert hasattr(tugx, name), name
+    tracer = _tracer()
+    spans = _metric_spans() | {*tracer.WORK, *tracer.KEYS, *tracer.BYTES}
+    spans |= {f"{module}.{name}" for module, name in tracer.CONSTRUCTORS}
+    # the per-suite, per-check and per-command spans are named after these
+    spans |= {"axioms.check_axiom", "axioms.check_theorem_suite", "cli.main"}
+    assert {"games.Game", "solutions.shapley", "io.parse_game_text"} <= spans
+    for span in spans:
+        module, name = span.split(".")
+        assert hasattr(importlib.import_module(f"tugx.{module}"), name), span
 
 
 def test_star_import_binds_every_public_name():
@@ -107,7 +141,7 @@ print(json.dumps([before, found, check_axiom is sys.modules["tugx.axioms"].check
 
 
 def test_fresh_import_resolves_lazy_modules_and_names():
-    modules = _tracer_modules()
+    modules = _tracer().MODULES
     before, found, same = json.loads(_python(_FRESH_SURFACE, json.dumps(modules)))
     assert before is False
     assert found == {m: f"tugx.{m}" for m in modules}
