@@ -7,25 +7,28 @@ invariance and operator families) are checked on constructed game or
 benchmark pairs whose hypotheses hold bit-exactly; candidates whose
 hypotheses fail to hold exactly are dropped, never stretched.
 
-Each property is a checker: a generator over ``(subject, corpus, tol,
-**params)`` that yields three kinds of item.
+Each property is a checker: a generator over ``(subject, corpus,
+**params)`` that yields two kinds of item.
 
 * An evaluation: a zero-argument callable that runs the rules.  The driver
   calls it and sends back its result, or ``_SKIPPED`` when the call left a
   rule's domain (``DomainViolation`` or ``MissingStructure``); that counts
   as one skipped evaluation.
-* ``None`` for a case that passed.
-* A witness dict for a case that failed.  Checkers build it in the failing
-  branch only, so a passing case never renders a game.
+* A case, ``_Case(at, lhs, rhs, scale, fields)``: two numbers that must
+  agree at the corpus item ``at``, to within the tolerance at ``scale``.
+  The scale is 0 for a bare comparison, or the size of the payoffs that a
+  sum or difference comes from (``_scale``).  ``fields`` returns the
+  witness's fields besides the game and its structure; the driver calls it
+  for a failing case only, so a passing case never renders a game.
 
 A checker may return a string saying why it can be vacuous; it heads the
 note of a report with no cases.  The driver, ``_drive``, is the one place
-that counts cases and skips, stops at the first failure, writes the note and
-builds the ``AxiomReport``.  ``check_axiom`` finds a property in the
-catalogue ``_CHECKERS`` as (subject kinds, checker, params), so the flavours
-of one property share a checker.  While ``_drive`` runs, kernel results are
-reused across evaluations, and across the checks of one theorem suite (see
-``memo``).
+that compares cases and builds witnesses, counts cases and skips, stops at
+the first failure, writes the note and builds the ``AxiomReport``.
+``check_axiom`` finds a property in the catalogue ``_CHECKERS`` as (subject
+kinds, checker, params), so the flavours of one property share a checker.
+While ``_drive`` runs, kernel results are reused across evaluations, and
+across the checks of one theorem suite (see ``memo``).
 """
 
 from __future__ import annotations
@@ -292,8 +295,22 @@ _Checker = Generator[Any, Any, "str | None"]
 _SKIPPED = object()
 
 
-def _drive(axiom: str, subject: str, checker: _Checker, note: str = "") -> AxiomReport:
-    """Run a checker to its end or to its first failure and report on it.
+class _Case(NamedTuple):
+    """lhs must equal rhs at the corpus item ``at``, to within the tolerance
+    at ``scale``; ``fields()`` gives the rest of a failure's witness."""
+
+    at: tuple
+    lhs: float
+    rhs: float
+    scale: float
+    fields: Callable[[], dict]
+
+
+def _drive(
+    axiom: str, subject: str, checker: _Checker, tol: Tolerance, note: str = ""
+) -> AxiomReport:
+    """Run a checker to its end or to its first failing case under tol, and
+    report on it.
 
     ``note`` heads the note of a passing report; a string the checker
     returns takes its place when no case was tested.
@@ -317,8 +334,8 @@ def _drive(axiom: str, subject: str, checker: _Checker, note: str = "") -> Axiom
                     sent = _SKIPPED
             else:
                 cases += 1
-                if item is not None:
-                    witness = item
+                if not tol.eq(item.lhs, item.rhs, item.scale):
+                    witness = _witness(*item.at, **item.fields())
                     break
     bits = [note] if note and witness is None else []
     if cases == 0:
@@ -377,21 +394,15 @@ def _scale(outs: Iterable[Allocation]) -> float:
     return max(total_of(map(abs, out.values), "a payoff size") for out in outs)
 
 
-def _agree(tol: Tolerance, a: float, b: float, *outs: Allocation) -> bool:
-    """Whether two sums or differences of payoffs agree, to within rounding
-    of the payoffs they come from: the tolerance scales with ``_scale(outs)``."""
-    return tol.eq(a, b, _scale(outs))
-
-
 # ---------------------------------------------------------------------------
 # totals: efficiency flavors
 
 
-def _totals(subject, corpus, tol, target):
+def _totals(subject, corpus, target):
     """Payoff total against target(v) at every evaluation the subject allows:
     one per input for a rule, one per pool benchmark for an operator."""
     rule = subject.target
-    pool = subject.pool if subject.is_operator else (None,)
+    pool = _pool(subject) if subject.is_operator else (None,)
     for args in _ITEMS[subject.structure](corpus):
         want = target(args[0])
         for f in pool:
@@ -400,8 +411,8 @@ def _totals(subject, corpus, tol, target):
                 continue
             got = out.total()
             extra = {} if f is None else {"benchmark": _name(f)}
-            yield None if _agree(tol, got, want, out) else _witness(
-                *args, **extra, total=got, required=want
+            yield _Case(
+                args, got, want, _scale([out]), lambda: dict(extra, total=got, required=want)
             )
 
 
@@ -417,7 +428,7 @@ def _rotation_fixing(players: tuple[int, ...], fixed: int | None) -> dict[int, i
     return mapping
 
 
-def _symmetry(subject, corpus, tol):
+def _symmetry(subject, corpus):
     phi = subject.target
     for v in corpus.games:
         mapping = _rotation_fixing(v.players, None)
@@ -428,12 +439,12 @@ def _symmetry(subject, corpus, tol):
         a, b = pair
         for i in v.players:
             j = mapping[i]
-            yield None if tol.eq(a[i], b[j]) else _witness(
-                v, player=i, image=j, lhs=a[i], rhs=b[j]
+            yield _Case(
+                (v,), a[i], b[j], 0.0, lambda: dict(player=i, image=j, lhs=a[i], rhs=b[j])
             )
 
 
-def _equal_treatment(subject, corpus, tol):
+def _equal_treatment(subject, corpus):
     phi = subject.target
     for v in corpus.games:
         pairs = [
@@ -447,8 +458,8 @@ def _equal_treatment(subject, corpus, tol):
         if out is _SKIPPED:
             continue
         for i, j in pairs:
-            yield None if tol.eq(out[i], out[j]) else _witness(
-                v, players=[i, j], lhs=out[i], rhs=out[j]
+            yield _Case(
+                (v,), out[i], out[j], 0.0, lambda: dict(players=[i, j], lhs=out[i], rhs=out[j])
             )
 
 
@@ -496,7 +507,7 @@ def _surplus_stats(f, v: Game) -> tuple[Allocation, float, float]:
     return out, total, v.grand - total
 
 
-def _invariance(subject, corpus, tol, cohesive=False, ratio=False):
+def _invariance(subject, corpus, cohesive=False, ratio=False):
     """Player i's payoff is the same at v and at a partner game w when the
     benchmark pays i the same at both and the surplus over the benchmark is
     the same (ratio: the benchmark total and the target worth are).  The
@@ -526,8 +537,8 @@ def _invariance(subject, corpus, tol, cohesive=False, ratio=False):
                 if pair is _SKIPPED:
                     continue
                 a, b = pair
-                yield None if tol.eq(a, b) else _witness(
-                    v, partner=game_payload(w), player=i, lhs=a, rhs=b
+                yield _Case(
+                    (v,), a, b, 0.0, lambda: dict(partner=game_payload(w), player=i, lhs=a, rhs=b)
                 )
 
 
@@ -535,7 +546,7 @@ def _invariance(subject, corpus, tol, cohesive=False, ratio=False):
 # graph and partition axioms
 
 
-def _part_totals(subject, corpus, tol, share=None):
+def _part_totals(subject, corpus, share=None):
     """Payoff total of each component (graph) or block (partition) C against
     what C is owed: its worth v(C) when share is None; v(C) plus |C|/n of the
     surplus of v(N) over the components' worths when share is "worth"; the
@@ -564,12 +575,13 @@ def _part_totals(subject, corpus, tol, share=None):
                 want = v.value(members)
                 if share is not None:
                     want += len(members) * surplus / v.n
-            yield None if _agree(tol, got, want, *outs) else _witness(
-                v, s, **{part: members}, total=got, required=want
+            yield _Case(
+                (v, s), got, want, _scale(outs),
+                lambda: {part: members, "total": got, "required": want},
             )
 
 
-def _link_fairness(subject, corpus, tol):
+def _link_fairness(subject, corpus):
     phi = subject.target
     for v, g in corpus.comm:
         for link in g.sorted_links():
@@ -580,12 +592,12 @@ def _link_fairness(subject, corpus, tol):
             full, cut = pair
             da = full[a] - cut[a]
             db = full[b] - cut[b]
-            yield None if _agree(tol, da, db, full, cut) else _witness(
-                v, g, link=list(link), lhs=da, rhs=db
+            yield _Case(
+                (v, g), da, db, _scale(pair), lambda: dict(link=list(link), lhs=da, rhs=db)
             )
 
 
-def _split_off_balance(subject, corpus, tol):
+def _split_off_balance(subject, corpus):
     phi = subject.target
     for v, P in corpus.partitioned:
         for block in P:
@@ -600,8 +612,8 @@ def _split_off_balance(subject, corpus, tol):
                 base, no_j, no_i = outs
                 lhs = base[i] - no_j[i]
                 rhs = base[j] - no_i[j]
-                yield None if _agree(tol, lhs, rhs, *outs) else _witness(
-                    v, P, players=[i, j], lhs=lhs, rhs=rhs
+                yield _Case(
+                    (v, P), lhs, rhs, _scale(outs), lambda: dict(players=[i, j], lhs=lhs, rhs=rhs)
                 )
 
 
@@ -619,7 +631,7 @@ def _cycle_orders(block: frozenset[int]) -> Iterator[tuple[int, ...]]:
 _MAX_CYCLE_ORDERS = math.factorial(9)
 
 
-def _cyclic_removal_balance(subject, corpus, tol, axiom):
+def _cyclic_removal_balance(subject, corpus, axiom):
     """Every removal cycle of every block balances.  A block's cycles share
     its k removal outcomes, evaluated at its first order; while those leave
     the rule's domain, each order counts one skipped evaluation.  A corpus
@@ -645,12 +657,13 @@ def _cyclic_removal_balance(subject, corpus, tol, axiom):
                     scale = _scale(outcomes.values())
                     payoffs = {j: out.as_dict() for j, out in outcomes.items()}
                 succ, pred = cycle_sums(payoffs, order)
-                yield None if tol.eq(succ, pred, scale) else _witness(
-                    v, P, order=list(order), residual=succ - pred
+                yield _Case(
+                    (v, P), succ, pred, scale,
+                    lambda: dict(order=list(order), residual=succ - pred),
                 )
 
 
-def _null_player_gap(subject, corpus, tol):
+def _null_player_gap(subject, corpus):
     phi = subject.target
     F = _benchmark(subject)
     for v, P in corpus.partitioned:
@@ -665,8 +678,9 @@ def _null_player_gap(subject, corpus, tol):
             for a in sorted(block_of(P, j) - {j}):
                 lhs = out[a] - out[j]
                 rhs = bench[a] - bench[j]
-                yield None if _agree(tol, lhs, rhs, out, bench) else _witness(
-                    v, P, null_player=j, player=a, lhs=lhs, rhs=rhs
+                yield _Case(
+                    (v, P), lhs, rhs, _scale(pair),
+                    lambda: dict(null_player=j, player=a, lhs=lhs, rhs=rhs),
                 )
 
 
@@ -691,37 +705,32 @@ def _twin(f, edit, at=None, away=None):
     return twin
 
 
-def _op_equal_treatment(subject, corpus, tol):
+def _op_equal_treatment(subject, corpus):
     op = subject.target
     pool = _pool(subject)
     for args in _ITEMS[subject.structure](corpus):
         v = args[0]
         for f in pool:
-            for a, b in combinations(range(v.n), 2):
+            for (a, i), (b, j) in combinations(enumerate(v.players), 2):
                 twin = _twin(f, lambda x: dict.fromkeys((a, b), (x[a] + x[b]) / 2.0))
                 out = yield lambda: op(twin, *args)
                 if out is _SKIPPED:
                     continue
                 x, y = out.values[a], out.values[b]
-                yield None if tol.eq(x, y) else _witness(
-                    *args,
-                    benchmark=_name(f),
-                    players=[v.players[a], v.players[b]],
-                    lhs=x,
-                    rhs=y,
+                yield _Case(
+                    args, x, y, 0.0, lambda: dict(benchmark=_name(f), players=[i, j], lhs=x, rhs=y)
                 )
 
 
-def _conclude(subject, tol, f1, f2, args, idx, **detail):
+def _conclude(subject, f1, f2, args, idx, **detail):
     """The operator must pay position idx the same under f1 and f2 at args."""
     op = subject.target
     pair = yield lambda: (op(f1, *args), op(f2, *args))
     if pair is _SKIPPED:
         return
     x, y = pair[0].values[idx], pair[1].values[idx]
-    yield None if tol.eq(x, y) else _witness(
-        *args, player=args[0].players[idx], lhs=x, rhs=y, **detail
-    )
+    player = args[0].players[idx]
+    yield _Case(args, x, y, 0.0, lambda: dict(player=player, lhs=x, rhs=y, **detail))
 
 
 def _detached(x: list[float]) -> dict[int, float]:
@@ -735,7 +744,7 @@ def _swap_two_others(idx: int, n: int):
     return lambda x: {a: x[b], b: x[a]}
 
 
-def _op_equal_surplus(subject, corpus, tol):
+def _op_equal_surplus(subject, corpus):
     """Payoffs may depend on the benchmark only through the player's own
     benchmark payoff and the benchmark total at the input being played."""
     pool = _pool(subject)
@@ -752,25 +761,25 @@ def _op_equal_surplus(subject, corpus, tol):
             for idx in range(v.n):
                 if o1.values[idx] == o2.values[idx]:
                     yield from _conclude(
-                        subject, tol, f1, f2, args, idx, benchmarks=[_name(f1), _name(f2)]
+                        subject, f1, f2, args, idx, benchmarks=[_name(f1), _name(f2)]
                     )
         for f in pool:
             # identical at this input, offset everywhere else
             twin = _twin(f, _detached, away=args)
             for idx in range(v.n):
                 yield from _conclude(
-                    subject, tol, f, twin, args, idx, benchmark=_name(f), pair="detached"
+                    subject, f, twin, args, idx, benchmark=_name(f), pair="detached"
                 )
             # two other players' payoffs swapped at this input only
             if v.n >= 3:
                 for idx in range(v.n):
                     twin = _twin(f, _swap_two_others(idx, v.n), at=args)
                     yield from _conclude(
-                        subject, tol, f, twin, args, idx, benchmark=_name(f), pair="swapped"
+                        subject, f, twin, args, idx, benchmark=_name(f), pair="swapped"
                     )
 
 
-def _op_weak_equal_surplus(subject, corpus, tol):
+def _op_weak_equal_surplus(subject, corpus):
     """Like the strong form, but the agreement hypothesis must hold at every
     input, so only everywhere-swapped twins are valid constructed pairs."""
     pool = _pool(subject)
@@ -781,7 +790,7 @@ def _op_weak_equal_surplus(subject, corpus, tol):
         for f in pool:
             for idx in range(v.n):
                 twin = _twin(f, _swap_two_others(idx, v.n))
-                yield from _conclude(subject, tol, f, twin, args, idx, benchmark=_name(f))
+                yield from _conclude(subject, f, twin, args, idx, benchmark=_name(f))
     return "needs games with 3+ players"
 
 
@@ -802,20 +811,12 @@ _CHECKERS: dict[str, tuple[tuple[str, ...], Callable[..., _Checker], dict]] = {
     "equal-surplus-invariance": (_VALUE, _invariance, {}),
     "equal-ratio-invariance": (_VALUE, _invariance, {"ratio": True}),
     "equal-cohesive-surplus-invariance": (_VALUE, _invariance, {"cohesive": True}),
-    "equal-cohesive-ratio-invariance": (
-        _VALUE,
-        _invariance,
-        {"cohesive": True, "ratio": True},
-    ),
+    "equal-cohesive-ratio-invariance": (_VALUE, _invariance, {"cohesive": True, "ratio": True}),
     "component-efficiency": (_GRAPH, _part_totals, {}),
     "link-fairness": (_GRAPH, _link_fairness, {}),
     "link-fairness-at-game": (_GRAPH, _link_fairness, {}),
     "component-surplus-fairness": (_GRAPH, _part_totals, {"share": "worth"}),
-    "relative-component-surplus-fairness": (
-        _GRAPH,
-        _part_totals,
-        {"share": "benchmark"},
-    ),
+    "relative-component-surplus-fairness": (_GRAPH, _part_totals, {"share": "benchmark"}),
     "split-off-balance": (_PART, _split_off_balance, {}),
     **{
         axiom: (_PART, _cyclic_removal_balance, {"axiom": axiom})
@@ -844,7 +845,7 @@ def check_axiom(
             f"{axiom} applies to {'/'.join(kinds)} subjects, not {subject.kind}"
         )
     try:
-        return _drive(axiom, subject.name, checker(subject, corpus, tol, **params))
+        return _drive(axiom, subject.name, checker(subject, corpus, **params), tol)
     except IncompatibleSubject as exc:
         raise IncompatibleSubject(f"{axiom} {exc}") from None
 
@@ -860,7 +861,7 @@ def _link_subsets(links: frozenset) -> Iterator[frozenset]:
             yield frozenset(chosen)
 
 
-def _fa_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
+def _fa_preservation(corpus: Corpus) -> _Checker:
     """Freezing a fair benchmark at one game keeps its extension fair there,
     across the whole subgraph family of the frozen pair."""
     eligible = [pair for pair in corpus.comm if 1 <= len(pair[1].links) <= 5]
@@ -868,13 +869,13 @@ def _fa_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
     for v, g in eligible[:4]:
         ext = wrap(GRAPH_ESS_OPERATOR, freeze_solution(MYERSON_SOLUTION, v, g))
         family = tuple((v, Graph(v.players, links)) for links in _link_subsets(g.links))
-        yield from _link_fairness(value_subject(ext), Corpus((), family), tol)
+        yield from _link_fairness(value_subject(ext), Corpus((), family))
 
 
 _AD_EXTENSION = wrap(PARTITION_ESS_OPERATOR, AUMANN_DREZE)
 
 
-def _rbcc_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
+def _rbcc_preservation(corpus: Corpus) -> _Checker:
     """The partition extension's removal-cycle residual equals Aumann-Dreze's."""
     for v, P in corpus.partitioned:
         if v.n > 4:
@@ -889,17 +890,15 @@ def _rbcc_preservation(corpus: Corpus, tol: Tolerance) -> _Checker:
                 s0, p0 = cycle_sums(ad, order)
                 s1, p1 = cycle_sums(ext, order)
                 r0, r1 = s0 - p0, s1 - p1
-                yield None if tol.eq(r1, r0, scale) else _witness(
-                    v, P, order=list(order), lhs=r1, rhs=r0
-                )
+                yield _Case((v, P), r1, r0, scale, lambda: dict(order=list(order), lhs=r1, rhs=r0))
 
 
 class _Preserved(NamedTuple):
-    """A suite row that drives a checker of its own over (corpus, tol)."""
+    """A suite row that drives a checker of its own over the corpus."""
 
     axiom: str
     subject: str
-    checker: Callable[[Corpus, Tolerance], _Checker]
+    checker: Callable[[Corpus], _Checker]
     note: str
 
 
@@ -1000,8 +999,8 @@ def check_theorem_suite(
     with memo.scope(f"suite {suite}"):
         for row in rows:
             if isinstance(row, _Preserved):
-                checker = row.checker(corpus, tol)
-                reports.append(_drive(row.axiom, row.subject, checker, row.note))
+                checker = row.checker(corpus)
+                reports.append(_drive(row.axiom, row.subject, checker, tol, row.note))
             else:
                 subject, axioms = row
                 reports.extend(check_axiom(a, subject, corpus, tol) for a in axioms)

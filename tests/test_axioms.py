@@ -4,7 +4,7 @@ import random
 import re
 import time
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from test_memo import _wide_corpus
@@ -158,6 +158,85 @@ def test_efficiency_fails_a_miss_of_one_millionth_of_the_payoffs(corpus):
     for games in ((_cancelling_game(),), corpus.games):
         report = check_axiom("efficiency", subject, Corpus(games))
         assert not report.passed and report.cases == 1
+
+
+def test_bare_comparisons_stay_unscaled():
+    # players 1 and 2 are symmetric and paid 1e-8 apart; a bound scaled by
+    # the payoffs (about 1e-3, from the 1e6 paid to player 3) would pass them
+    players = (1, 2, 3)
+    table = {S: float(r) for r in (1, 2, 3) for S in combinations(players, r)}
+    v = Game.from_table(players, table)
+    out = Allocation(players, (1.0, 1.0 + 1e-8, 1e6))
+    assert Tolerance().eq(out[1], out[2], axioms._scale([out]))
+    rule = Solution("one-one-million", lambda v: out)
+    report = check_axiom("equal-treatment", value_subject(rule), Corpus((v,)))
+    assert not report.passed and report.cases == 1
+    assert report.witness["players"] == [1, 2]
+    assert (report.witness["lhs"], report.witness["rhs"]) == (1.0, 1.00000001)
+
+
+# The first 3-player game of Corpus.build(sizes=(2, 3, 4), per_size=1, seed=1).
+_SEED_1_TRIO = {
+    "players": [1, 2, 3],
+    "worths": [
+        {"coalition": [1], "value": -2.765625},
+        {"coalition": [2], "value": -2.03125},
+        {"coalition": [1, 2], "value": -0.65625},
+        {"coalition": [3], "value": -1.078125},
+        {"coalition": [1, 3], "value": 2.71875},
+        {"coalition": [2, 3], "value": 1.171875},
+        {"coalition": [1, 2, 3], "value": 3.625},
+    ],
+}
+
+
+def _degree_squared(v, g):
+    degree = [sum(p in link for link in g.links) for p in v.players]
+    return Allocation(v.players, tuple(float(d * d) for d in degree))
+
+
+def _plus_next(f, v, *structure):
+    x = f(v, *structure).values
+    return Allocation(v.players, tuple(x[k] + x[(k + 1) % v.n] for k in range(v.n)))
+
+
+_PLUS_NEXT = operator_subject(Operator("plus-next", _plus_next))
+
+# Failures that no golden report holds: axiom -> (subject, cases, the
+# witness's fields besides the game).
+_UNPINNED_FAILURES = {
+    "link-fairness": (
+        value_subject(Solution("degree-squared", _degree_squared, reads=GRAPH)),
+        5,
+        {"graph": [[1, 2], [1, 3]], "link": [1, 2], "lhs": 3.0, "rhs": 1.0},
+    ),
+    "operator-equal-treatment": (
+        _PLUS_NEXT,
+        9,
+        {"benchmark": "standalone", "players": [1, 2], "lhs": -4.796875, "rhs": -3.4765625},
+    ),
+    "operator-weak-equal-surplus": (
+        _PLUS_NEXT,
+        1,
+        {"player": 1, "lhs": -4.796875, "rhs": -3.84375, "benchmark": "standalone"},
+    ),
+}
+
+
+@pytest.mark.parametrize("axiom", list(_UNPINNED_FAILURES))
+def test_witnesses_without_a_golden_report(axiom):
+    subject, cases, fields = _UNPINNED_FAILURES[axiom]
+    corpus = Corpus.build(sizes=(2, 3, 4), per_size=1, seed=1)
+    report = check_axiom(axiom, subject, corpus)
+    want = {
+        "axiom": axiom,
+        "subject": subject.name,
+        "verdict": "fail",
+        "cases": cases,
+        "witness": {"game": _SEED_1_TRIO, **fields},
+        "note": "",
+    }
+    assert json.dumps(report.to_dict()) == json.dumps(want)
 
 
 def _off_by_a_millionth(rule: Solution, weight) -> Solution:
@@ -453,7 +532,7 @@ def _per_order_sides(F, v, P, cycle):
     return math.fsum(succ), math.fsum(pred), outs
 
 
-def _per_order_cyclic(subject, corpus, tol):
+def _per_order_cyclic(subject, corpus):
     phi = subject.target
     for v, P in corpus.partitioned:
         for block in P:
@@ -462,12 +541,13 @@ def _per_order_cyclic(subject, corpus, tol):
                 if sides is axioms._SKIPPED:
                     continue
                 succ, pred, outs = sides
-                yield None if axioms._agree(tol, succ, pred, *outs) else axioms._witness(
-                    v, P, order=list(order), residual=succ - pred
+                yield axioms._Case(
+                    (v, P), succ, pred, axioms._scale(outs),
+                    lambda: dict(order=list(order), residual=succ - pred),
                 )
 
 
-def _per_order_rbcc(corpus, tol):
+def _per_order_rbcc(corpus):
     for v, P in corpus.partitioned:
         if v.n > 4:
             continue
@@ -476,8 +556,9 @@ def _per_order_rbcc(corpus, tol):
                 s0, p0, outs0 = _per_order_sides(AUMANN_DREZE, v, P, order)
                 s1, p1, outs1 = _per_order_sides(axioms._AD_EXTENSION, v, P, order)
                 r0, r1 = s0 - p0, s1 - p1
-                yield None if axioms._agree(tol, r1, r0, *outs0, *outs1) else axioms._witness(
-                    v, P, order=list(order), lhs=r1, rhs=r0
+                yield axioms._Case(
+                    (v, P), r1, r0, axioms._scale(outs0 + outs1),
+                    lambda: dict(order=list(order), lhs=r1, rhs=r0),
                 )
 
 
@@ -507,7 +588,7 @@ def test_removal_cycles_report_as_when_every_order_evaluated_its_removals(wide_g
         ]
         for rule, axiom, at in cases:
             subject = value_subject(rule)
-            want = axioms._drive(axiom, rule.name, _per_order_cyclic(subject, corpus, at))
+            want = axioms._drive(axiom, rule.name, _per_order_cyclic(subject, corpus), at)
             got = check_axiom(axiom, subject, corpus, at)
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
             seen[got.verdict, "skipped" in got.note] += 1
@@ -516,7 +597,7 @@ def test_removal_cycles_report_as_when_every_order_evaluated_its_removals(wide_g
             if r.axiom == "cyclic-removal-balance-at-game"
         ]
         note = "residuals preserved under the extension"
-        want = axioms._drive(row.axiom, row.subject, _per_order_rbcc(corpus, tol), note)
+        want = axioms._drive(row.axiom, row.subject, _per_order_rbcc(corpus), tol, note)
         assert json.dumps(row.to_dict()) == json.dumps(want.to_dict())
     # the targets pass, fail and skip evaluations
     assert seen["pass", False] and seen["fail", False] and seen["pass", True]
@@ -575,7 +656,7 @@ def test_removal_cycle_cap_admits_ten_members_and_refuses_eleven():
 
     def first_item(*pairs):
         checker = axioms._cyclic_removal_balance(
-            subject, Corpus((), (), pairs), Tolerance(), axiom="cyclic-removal-balance"
+            subject, Corpus((), (), pairs), axiom="cyclic-removal-balance"
         )
         return next(checker)
 
@@ -655,11 +736,16 @@ def test_partition_checks_skip_evaluations_outside_a_frozen_domain(axiom):
 
 
 def test_operator_checks_refuse_a_subject_without_a_pool(corpus):
-    subject = operator_subject(PARTITION_ESS_OPERATOR, pool=())
-    with pytest.raises(
-        IncompatibleSubject, match="^operator-equal-surplus needs a benchmark pool$"
+    # cohesive-efficiency takes operators on plain games only
+    for axiom, op in (
+        ("operator-equal-surplus", PARTITION_ESS_OPERATOR),
+        ("efficiency", PARTITION_ESS_OPERATOR),
+        ("efficiency", ESS_OPERATOR),
+        ("cohesive-efficiency", ESS_OPERATOR),
     ):
-        check_axiom("operator-equal-surplus", subject, corpus)
+        subject = operator_subject(op, pool=())
+        with pytest.raises(IncompatibleSubject, match=f"^{axiom} needs a benchmark pool$"):
+            check_axiom(axiom, subject, corpus)
 
 
 def test_a_subject_without_a_pool_gets_its_structures_default():

@@ -129,3 +129,40 @@ def test_math_fsum_is_read_only_by_total_of_and_two_hot_loops():
         "games.total_of",
         "operators.brute_force_partition_value",
     ]
+
+
+def _compares(node: ast.AST) -> bool:
+    """Whether a statement calls an ``.eq`` method or ``_witness``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            if isinstance(func, ast.Attribute) and func.attr == "eq":
+                return True
+            if isinstance(func, ast.Name) and func.id == "_witness":
+                return True
+    return False
+
+
+def comparers(source: str) -> list[str]:
+    """The name of each top-level statement of source that calls an ``.eq``
+    method or ``_witness``, or ``<module>`` for a statement that defines no
+    name; sorted."""
+    return sorted(
+        getattr(node, "name", "<module>") for node in ast.parse(source).body if _compares(node)
+    )
+
+
+def test_comparers_are_found():
+    source = (
+        "def f(tol): return [tol.eq(1, 2)]\n"
+        "class C:\n    def g(self): return _witness(self)\n"
+        "def h(eq, t): return eq(1, 2) or t.eq\n"
+        "OK = Tolerance().eq(0, 0)\n"
+    )
+    assert comparers(source) == ["<module>", "C", "f"]
+
+
+def test_only_the_axiom_driver_compares_cases_and_builds_witnesses():
+    # checkers yield cases; _drive alone compares them and builds the witness
+    source = (SRC / "axioms.py").read_text(encoding="utf-8")
+    assert comparers(source) == ["_drive"]
