@@ -295,15 +295,13 @@ _Checker = Generator[Any, Any, "str | None"]
 _SKIPPED = object()
 
 
-class _Case(NamedTuple):
+def _Case(
+    at: tuple, lhs: float, rhs: float, scale: float, fields: Callable[[], dict]
+) -> tuple:
     """lhs must equal rhs at the corpus item ``at``, to within the tolerance
-    at ``scale``; ``fields()`` gives the rest of a failure's witness."""
-
-    at: tuple
-    lhs: float
-    rhs: float
-    scale: float
-    fields: Callable[[], dict]
+    at ``scale``; ``fields()`` gives the rest of a failure's witness.  A
+    case is a plain tuple of the five."""
+    return (at, lhs, rhs, scale, fields)
 
 
 def _drive(
@@ -334,8 +332,9 @@ def _drive(
                     sent = _SKIPPED
             else:
                 cases += 1
-                if not tol.eq(item.lhs, item.rhs, item.scale):
-                    witness = _witness(*item.at, **item.fields())
+                at, lhs, rhs, scale, fields = item
+                if not tol.eq(lhs, rhs, scale):
+                    witness = _witness(*at, **fields())
                     break
     bits = [note] if note and witness is None else []
     if cases == 0:

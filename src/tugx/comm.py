@@ -142,59 +142,82 @@ def restricted_game(v: Game, g: Graph) -> Game:
     """Each coalition earns the sum of its connected parts' worths.
 
     Coalitions are filled in ascending mask order as ``S = h | below``, with
-    h the highest player of S.  The parts of S are the parts of ``below``
-    that h does not touch, plus h joined with those it does.  ``rest_of[S]``
-    is S minus the part holding h, so walking ``below, rest_of[below], ...``
-    visits one part of ``below`` per step, and a mask is connected exactly
-    when its ``rest_of`` is 0.
+    h the highest player of S.  ``rest_of[S]`` is S minus the part holding
+    h, so ``below, rest_of[below], ...`` visits one part of ``below`` per
+    step, and a mask is connected exactly when its ``rest_of`` is 0.  For
+    each h, ``h_part[below]`` is h joined with the parts of ``below`` that
+    touch h: with ``nxt = rest_of[below]`` and ``part = below ^ nxt``, it
+    is ``h_part[nxt]``, joined with ``part`` if part touches h.  So the part
+    of S holding h costs one lookup, and ``rest = S ^ h_part[below]``.
 
-    The worth of S is ``math.fsum`` over its parts' worths, as if each part
-    were found by a search of its own: a connected S keeps ``v(S)`` and two
-    parts take one addition, which is what fsum returns for one or two terms
-    (fsum turns -0.0 into 0.0, hence the ``+ 0.0``).  fsum is exact and
-    order-independent, so every worth is bit-identical to summing the parts
-    of each coalition found from scratch.  Only overflow differs: two parts
-    then add to inf, which ``Game`` rejects, where fsum raises; both become
-    one OverflowError, as a valid v leaves ``Game`` nothing else to reject.
+    The worth of S is the exact sum of its parts' worths, rounded once, as
+    ``math.fsum`` over the parts of each coalition found from scratch gives
+    it.  A connected S keeps ``v(S)``.  ``exact[S]`` says that ``worth[S]``
+    is the exact sum of S's parts, as it is for a connected S.  When
+    ``exact[rest]``, the sum is ``worth[h_part] + worth[rest]`` exactly, and
+    one addition rounds it once, which is what fsum returns.  That addition
+    is exact iff each operand comes back when the other is subtracted from
+    the sum: for |x| >= |y|, ``(x + y) - x`` is computed exactly (Dekker's
+    Fast2Sum).  Otherwise S takes fsum over its parts, in any order, and is
+    not marked exact.  Grid games add exactly, so they never reach fsum.
+
+    The worths pass through ``+ 0.0``: fsum turns -0.0 into 0.0, and a sum
+    of two floats that are not both -0.0 is never -0.0.  On overflow an
+    addition gives inf, which clears ``exact`` (inf minus a finite x is not
+    y); parts are connected, so they keep finite worths, and ``Game``
+    rejects the inf.  fsum raises instead, when some run of parts adds past
+    the float range, and those parts make a coalition whose own sum
+    overflows.  So this kernel overflows exactly when some coalition's
+    exact sum does, as the search from scratch does, and both become one
+    OverflowError.
     """
     _aligned_graph(v, g)
-    vw = [x + 0.0 for x in v.worth]
-    worth = vw[:]
-    rest_of = [0] * len(vw)
+    worth = [x + 0.0 for x in v.worth]
+    size = len(worth)
+    rest_of = [0] * size
+    h_part = [0] * (size >> 1)
+    exact = bytearray(b"\x01") * size
     try:
         fsum = math.fsum
         for k, near in enumerate(_adjacency(g)):
             h = 1 << k
-            for below in range(1, h):
+            alone = worth[h]
+            for below, nxt in enumerate(rest_of[1:h], 1):
                 s = h | below
-                if not rest_of[below]:
+                if not nxt:
                     # below is connected: S is too if h touches it
-                    if not below & near:
-                        rest_of[s] = below
-                        worth[s] = vw[below] + vw[h]
+                    if below & near:
+                        h_part[below] = s
+                        continue
+                    h_part[below] = h
+                    rest_of[s] = below
+                    y = worth[below]
+                    t = alone + y
+                    worth[s] = t
+                    if t - alone != y or t - y != alone:
+                        exact[s] = 0
                     continue
-                joined = h
-                parts = []
-                r = below
-                while r & near:
-                    nxt = rest_of[r]
-                    part = r ^ nxt
-                    if part & near:
-                        joined |= part
-                    else:
-                        parts.append(vw[part])
-                    r = nxt
-                rest_of[s] = s ^ joined
-                while r:
-                    nxt = rest_of[r]
-                    parts.append(vw[r ^ nxt])
-                    r = nxt
-                if not parts:
+                part = below ^ nxt
+                joined = h_part[nxt] | part if part & near else h_part[nxt]
+                h_part[below] = joined
+                if joined == s:
                     continue  # S is connected: worth[s] is already v(S)
-                if len(parts) == 1:
-                    worth[s] = vw[joined] + parts[0]
+                rest = s ^ joined
+                rest_of[s] = rest
+                x = worth[joined]
+                if exact[rest]:
+                    y = worth[rest]
+                    t = x + y
+                    worth[s] = t
+                    if t - x != y or t - y != x:
+                        exact[s] = 0
                 else:
-                    parts.append(vw[joined])
+                    exact[s] = 0
+                    parts = [x]
+                    while rest:
+                        nxt = rest_of[rest]
+                        parts.append(worth[rest ^ nxt])
+                        rest = nxt
                     worth[s] = fsum(parts)
         return Game(v.players, tuple(worth))
     except (ValueError, OverflowError):

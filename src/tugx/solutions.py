@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, permutations
 from operator import mul, sub
 from typing import Any, Callable, Mapping, NamedTuple
@@ -115,6 +116,14 @@ def singleton_total(v: Game) -> float:
     return total_of(v.singleton_values(), "the singleton total")
 
 
+@cache
+def _shapley_weights(n: int) -> list[float]:
+    """Each mask's Shapley weight ``(|S| - 1)! (n - |S|)! / n!`` at n players."""
+    fact = [math.factorial(k) for k in range(n + 1)]
+    weight = [fact[s - 1] * fact[n - s] / fact[n] for s in range(n + 1)]
+    return [weight[m.bit_count()] for m in range(1 << n)]
+
+
 @reuse
 def shapley(v: Game) -> Allocation:
     """Average marginal contribution over coalition sizes.
@@ -126,15 +135,14 @@ def shapley(v: Game) -> Allocation:
     The terms of player bit b are built a whole table slice at a time: the
     masks holding b come either as runs ``[h, h + b)`` or as strides
     ``[j::2b]``, whichever needs fewer slices, and ``wt`` gives each mask's
-    weight.  fsum is exact and order-independent, so building the same
-    terms in this order leaves every payoff bit-identical, and only one
-    player's terms are in flight at a time.
+    weight; it is built once per player count.  fsum is exact and
+    order-independent, so building the same terms in this order leaves every
+    payoff bit-identical, and only one player's terms are in flight at a
+    time.
     """
     n = v.n
-    fact = [math.factorial(k) for k in range(n + 1)]
-    weight = [fact[s - 1] * fact[n - s] / fact[n] for s in range(n + 1)]
     size = 1 << n
-    wt = [weight[m.bit_count()] for m in range(size)]
+    wt = _shapley_weights(n)
     vw = v.worth
     payoffs = []
     for k in range(n):

@@ -217,3 +217,63 @@ def test_restricted_game_matches_per_mask_reference(wide_game):
                 ref = _reference_restricted_game(v, g)
                 assert got == ref
                 assert [x.hex() for x in got] == [x.hex() for x in ref]
+
+
+_EDGE_WORTHS = (0.0, -0.0, 5e-324, 0.1, 1.0, 2.0**53, -(2.0**53), 1e308, -1e308)
+
+
+def test_restricted_game_matches_per_mask_reference_on_edge_worths():
+    # exact and inexact part sums, signed zeros, subnormals and overflow
+    rng = random.Random(3)
+    for n in range(1, 9):
+        players = tuple(range(1, n + 1))
+        for seed in range(6):
+            draw = random.Random(100 * n + seed)
+            worth = (0.0, *(draw.choice(_EDGE_WORTHS) for _ in range(1, 1 << n)))
+            v = Game(players, worth)
+            for g in _test_graphs(players, rng):
+                try:
+                    ref = _reference_restricted_game(v, g)
+                except OverflowError:
+                    with pytest.raises(OverflowError, match="a restricted worth overflows"):
+                        restricted_game(v, g)
+                    continue
+                got = restricted_game(v, g).worth
+                assert [x.hex() for x in got] == [x.hex() for x in ref]
+
+
+def _fsum_calls(monkeypatch, v, g):
+    calls = []
+    real = math.fsum
+
+    def counted(values):
+        calls.append(1)
+        return real(values)
+
+    with monkeypatch.context() as m:
+        m.setattr(math, "fsum", counted)
+        restricted_game(v, g)
+    return len(calls)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_restricted_game_sums_grid_games_without_fsum(monkeypatch, profile):
+    # grid worths add exactly, so every coalition costs one addition at most
+    players = tuple(range(10))
+    v = random_game(players, seed=1, profile=profile)
+    path = Graph.from_pairs(players, zip(players, players[1:]))
+    for g in (empty_graph(players), path):
+        assert _fsum_calls(monkeypatch, v, g) == 0
+
+
+def test_restricted_game_falls_back_to_fsum_when_sums_round(monkeypatch):
+    players = tuple(range(6))
+    singles = (2.0**53, 1.0, -(2.0**53), 1.0, 2.0**53, -1.0)
+    worth = [0.0] * (1 << 6)
+    for mask in range(1, 1 << 6):
+        worth[mask] = singles[mask.bit_length() - 1] if mask.bit_count() == 1 else 1.0
+    v = Game(players, tuple(worth))
+    g = empty_graph(players)
+    assert _fsum_calls(monkeypatch, v, g) >= 1
+    got = restricted_game(v, g).worth
+    assert [x.hex() for x in got] == [x.hex() for x in _reference_restricted_game(v, g)]
