@@ -89,6 +89,7 @@ from .operators import (
     PS_OPERATOR,
     PS_VALUE,
     SUBJECT_KINDS,
+    _grand_worth,
     best_partition_worth,
     wrap,
 )
@@ -106,8 +107,6 @@ from .solutions import (
     constant_solution,
     freeze_solution,
 )
-
-EXACT = Tolerance(0.0, 0.0)
 
 _KIND_OF = {shape: kind for kind, shape in SUBJECT_KINDS.items()}
 
@@ -238,7 +237,6 @@ class Corpus:
         per_size: int = 10,
         seed: int = 7,
         profile: str = GENERAL,
-        include_examples: bool = True,
     ) -> "Corpus":
         rng = random.Random(int(seed))
         games: list[Game] = []
@@ -250,11 +248,10 @@ class Corpus:
                 )
             if n >= 2:
                 games.append(_structured_game(players, profile))
-        if include_examples:
-            for g in _example_games():
-                if profile == POSITIVE_SINGLETONS and min(g.singleton_values()) <= 0:
-                    continue
-                games.append(g)
+        for g in _example_games():
+            if profile == POSITIVE_SINGLETONS and min(g.singleton_values()) <= 0:
+                continue
+            games.append(g)
         comm: list[tuple[Game, Graph]] = []
         partitioned: list[tuple[Game, Partition]] = []
         for v in games:
@@ -449,7 +446,7 @@ def _equal_treatment(subject, corpus):
         pairs = [
             (i, j)
             for i, j in combinations(v.players, 2)
-            if are_symmetric(v, i, j, EXACT)
+            if are_symmetric(v, i, j)
         ]
         if not pairs:
             continue
@@ -500,37 +497,27 @@ def _invariance_partners(f, v: Game, i: int) -> list[Game]:
     return partners + scaled
 
 
-def _surplus_stats(f, v: Game) -> tuple[Allocation, float, float]:
-    out = f(v)
-    total = out.total()
-    return out, total, v.grand - total
-
-
-def _invariance(subject, corpus, cohesive=False, ratio=False):
+def _invariance(subject, corpus, target, ratio=False):
     """Player i's payoff is the same at v and at a partner game w when the
-    benchmark pays i the same at both and the surplus over the benchmark is
-    the same (ratio: the benchmark total and the target worth are).  The
-    target is the grand worth, or the best partition worth when cohesive.
-    """
+    benchmark pays i the same at both and the surplus of target(v) over the
+    benchmark total is the same (ratio: the benchmark total and the target
+    worth are)."""
     phi = subject.target
     f = _benchmark(subject)
     for v in corpus.games:
         for i in v.players:
             for w in _invariance_partners(f, v, i):
-                stats = yield lambda: (_surplus_stats(f, v), _surplus_stats(f, w))
-                if stats is _SKIPPED:
+                paid = yield lambda: [(out, out.total()) for out in map(f, (v, w))]
+                if paid is _SKIPPED:
                     continue
-                (fv, tv, sv), (fw, tw, sw) = stats
+                (fv, tv), (fw, tw) = paid
                 if fv[i] != fw[i]:
                     continue
-                gv, gw = v.grand, w.grand
-                if cohesive:
-                    gv, gw = best_partition_worth(v), best_partition_worth(w)
-                    sv, sw = gv - tv, gw - tw
+                gv, gw = target(v), target(w)
                 if ratio:
                     if tv != tw or gv != gw:
                         continue
-                elif sv != sw:
+                elif gv - tv != gw - tw:
                     continue
                 pair = yield lambda: (phi(v)[i], phi(w)[i])
                 if pair is _SKIPPED:
@@ -666,7 +653,7 @@ def _null_player_gap(subject, corpus):
     phi = subject.target
     F = _benchmark(subject)
     for v, P in corpus.partitioned:
-        nulls = [j for j in v.players if is_null_player(v, j, EXACT)]
+        nulls = [j for j in v.players if is_null_player(v, j)]
         if not nulls:
             continue
         pair = yield lambda: (phi(v, P), F(v, P))
@@ -803,14 +790,18 @@ _PLAIN = (*_VALUE, _KIND_OF[None, True])  # rules and operators on plain games
 # The *-at-game forms share their base checks' equations: a subject whose
 # domain pins the game is skipped, not failed, off that domain.
 _CHECKERS: dict[str, tuple[tuple[str, ...], Callable[..., _Checker], dict]] = {
-    "efficiency": (tuple(SUBJECT_KINDS), _totals, {"target": attrgetter("grand")}),
+    "efficiency": (tuple(SUBJECT_KINDS), _totals, {"target": _grand_worth}),
     "cohesive-efficiency": (_PLAIN, _totals, {"target": best_partition_worth}),
     "symmetry": (_VALUE, _symmetry, {}),
     "equal-treatment": (_VALUE, _equal_treatment, {}),
-    "equal-surplus-invariance": (_VALUE, _invariance, {}),
-    "equal-ratio-invariance": (_VALUE, _invariance, {"ratio": True}),
-    "equal-cohesive-surplus-invariance": (_VALUE, _invariance, {"cohesive": True}),
-    "equal-cohesive-ratio-invariance": (_VALUE, _invariance, {"cohesive": True, "ratio": True}),
+    "equal-surplus-invariance": (_VALUE, _invariance, {"target": _grand_worth}),
+    "equal-ratio-invariance": (_VALUE, _invariance, {"target": _grand_worth, "ratio": True}),
+    "equal-cohesive-surplus-invariance": (
+        _VALUE, _invariance, {"target": best_partition_worth}
+    ),
+    "equal-cohesive-ratio-invariance": (
+        _VALUE, _invariance, {"target": best_partition_worth, "ratio": True}
+    ),
     "component-efficiency": (_GRAPH, _part_totals, {}),
     "link-fairness": (_GRAPH, _link_fairness, {}),
     "link-fairness-at-game": (_GRAPH, _link_fairness, {}),

@@ -94,19 +94,15 @@ def remove_player(v: Game, P: Partition, i: int) -> tuple[Game, Partition]:
     return subgame(v, rest), make_partition(blocks, rest)
 
 
-def extend_with_null(
-    v: Game, P: Partition, block: Iterable[int], new_id: int | None = None
-) -> tuple[Game, Partition, int]:
-    """Adjoin a player who adds nothing, placed into the given block."""
+def extend_with_null(v: Game, P: Partition, block: Iterable[int]) -> tuple[Game, Partition, int]:
+    """Adjoin a player who adds nothing, numbered one past the highest id
+    and placed into the given block."""
     blk = frozenset(block)
     if blk not in set(P):
         raise ValueError(f"{tuple(sorted(blk))} is not a block")
-    nid = max(v.players) + 1 if new_id is None else new_id
-    if nid in v.players:
-        raise ValueError(f"player {nid} already exists")
-    players = tuple(sorted(v.players + (nid,)))
-    bits = [1 << k for k in range(v.n)]
-    bits.insert(players.index(nid), 0)
+    nid = max(v.players) + 1
+    players = v.players + (nid,)
+    bits = [1 << k for k in range(v.n)] + [0]
     blocks = [b for b in P if b != blk]
     blocks.append(blk | {nid})
     return _relabel(v, players, bits), make_partition(blocks, players), nid

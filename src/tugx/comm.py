@@ -111,24 +111,12 @@ def _components_of_mask(adj: list[int], mask: int) -> list[int]:
     return comps
 
 
-def components(g: Graph, coalition: Iterable[int] | None = None) -> tuple[frozenset[int], ...]:
-    """Connected parts of the coalition (all players by default)."""
-    pos = {p: k for k, p in enumerate(g.players)}
-    if coalition is None:
-        mask = (1 << len(g.players)) - 1
-    else:
-        mask = 0
-        for p in coalition:
-            if p not in pos:
-                raise ValueError(f"player {p} is not in the graph")
-            mask |= 1 << pos[p]
-    adj = _adjacency(g)
-    out = []
-    for comp in _components_of_mask(adj, mask):
-        out.append(
-            frozenset(p for k, p in enumerate(g.players) if comp >> k & 1)
-        )
-    return tuple(out)
+def components(g: Graph) -> tuple[frozenset[int], ...]:
+    """Connected parts of the graph's player set."""
+    return tuple(
+        frozenset(p for k, p in enumerate(g.players) if comp >> k & 1)
+        for comp in _components_of_mask(_adjacency(g), (1 << len(g.players)) - 1)
+    )
 
 
 def _aligned_graph(v: Game, g: Graph) -> Graph:

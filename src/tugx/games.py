@@ -182,7 +182,7 @@ class Game:
         return cls(ps, tuple(worth))
 
 
-def are_symmetric(v: Game, i: int, j: int, tol: Tolerance = DEFAULT_TOL) -> bool:
+def are_symmetric(v: Game, i: int, j: int) -> bool:
     """True when i and j contribute equally to every coalition missing both."""
     bi, bj = v.bit(i), v.bit(j)
     if bi == bj:
@@ -190,16 +190,16 @@ def are_symmetric(v: Game, i: int, j: int, tol: Tolerance = DEFAULT_TOL) -> bool
     for mask in range(1 << v.n):
         if mask & (bi | bj):
             continue
-        if not tol.eq(v.worth[mask | bi], v.worth[mask | bj]):
+        if v.worth[mask | bi] != v.worth[mask | bj]:
             return False
     return True
 
 
-def is_null_player(v: Game, i: int, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when i adds nothing (within tolerance) to any coalition."""
+def is_null_player(v: Game, i: int) -> bool:
+    """True when i adds nothing to any coalition."""
     b = v.bit(i)
     return all(
-        tol.eq(v.worth[mask | b], v.worth[mask])
+        v.worth[mask | b] == v.worth[mask]
         for mask in range(1 << v.n)
         if not mask & b
     )

@@ -52,8 +52,6 @@ from tugx.operators import (
 )
 from tugx.solutions import SHAPLEY, STAND_ALONE, ZERO, Allocation, Solution, freeze_solution
 
-EXACT = Tolerance(0.0, 0.0)
-
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -73,9 +71,7 @@ def test_corpus_is_deterministic(corpus):
 
 
 def test_corpus_contains_exact_nulls_and_twins(corpus):
-    nulls = [
-        (v, j) for v in corpus.games for j in v.players if is_null_player(v, j, EXACT)
-    ]
+    nulls = [(v, j) for v in corpus.games for j in v.players if is_null_player(v, j)]
     assert nulls
     pos = Corpus.build(sizes=(3,), per_size=2, seed=1, profile=POSITIVE_SINGLETONS)
     assert all(min(v.singleton_values()) > 0.0 for v in pos.games)
@@ -436,7 +432,8 @@ def test_operator_equal_surplus_on_one_player_games():
 
 
 def test_weak_surplus_vacuous_on_two_players():
-    corpus2 = Corpus.build(sizes=(2,), per_size=3, seed=4, include_examples=False)
+    # the four generated duos, without the example games Corpus.build appends
+    corpus2 = Corpus(Corpus.build(sizes=(2,), per_size=3, seed=4).games[:-3])
     report = check_axiom(
         "operator-weak-equal-surplus", operator_subject(ESS_OPERATOR), corpus2
     )

@@ -114,17 +114,6 @@ def test_extend_with_null(trio, pair_block):
     assert ext.value((2, 3, 4)) == trio.value((2, 3))
 
 
-def test_extend_with_null_interleaved_ids():
-    v = Game.from_table([1, 5], {(1,): 1.0, (5,): 2.0, (1, 5): 4.0})
-    P = (frozenset({1}), frozenset({5}))
-    ext, extP, nid = extend_with_null(v, P, frozenset({1}), new_id=3)
-    assert ext.players == (1, 3, 5)
-    assert extP == (frozenset({1, 3}), frozenset({5}))
-    assert ext.value((1, 3)) == 1.0
-    assert ext.value((3, 5)) == 2.0
-    assert ext.value((1, 3, 5)) == 4.0
-
-
 def test_cycle_sides_evaluate_each_removal_once():
     players = (1, 2, 3, 4, 5)
     v = random_game(players, seed=4)
@@ -314,10 +303,9 @@ def test_extend_with_null_matches_per_mask_reference(wide_game):
             make_partition([players[::2], players[1::2]] if n > 1 else [players]),
         ):
             for block in P:
-                for new_id in (None, *range(0, 2 * n + 1, 2)):
-                    w, wP, nid = extend_with_null(v, P, block, new_id)
-                    assert nid == (2 * n if new_id is None else new_id)
-                    assert w.players == tuple(sorted(players + (nid,)))
-                    assert block | {nid} in wP
-                    ref = _reference_null_worths(v, w.players, nid)
-                    assert [x.hex() for x in w.worth] == [x.hex() for x in ref]
+                w, wP, nid = extend_with_null(v, P, block)
+                assert nid == 2 * n
+                assert w.players == players + (nid,)
+                assert block | {nid} in wP
+                ref = _reference_null_worths(v, w.players, nid)
+                assert [x.hex() for x in w.worth] == [x.hex() for x in ref]

@@ -48,10 +48,6 @@ def test_components(pair_link, trio):
         frozenset({3}),
     )
     assert components(complete_graph(trio.players)) == (frozenset({1, 2, 3}),)
-    assert components(pair_link, coalition=(1, 3)) == (
-        frozenset({1}),
-        frozenset({3}),
-    )
 
 
 def test_all_graphs_counts():

@@ -1,8 +1,9 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tugx.games import (
     GENERAL,
@@ -21,8 +22,6 @@ from tugx.games import (
     total_of,
     unanimity_game,
 )
-
-EXACT = Tolerance(0.0, 0.0)
 
 
 def test_worth_table_indexing(duo):
@@ -70,11 +69,75 @@ def test_nonzero_table_round_trip(trio):
 
 
 def test_symmetry_and_null_detection(trio):
-    assert are_symmetric(trio, 1, 2, EXACT)
-    assert not are_symmetric(trio, 1, 3, EXACT)
-    assert not is_null_player(trio, 3, EXACT)
+    assert are_symmetric(trio, 1, 2)
+    assert not are_symmetric(trio, 1, 3)
+    assert not is_null_player(trio, 3)
     u = unanimity_game((1, 2, 3), (1, 2))
-    assert is_null_player(u, 3, EXACT)
+    assert is_null_player(u, 3)
+
+
+# Worths where an exact comparison could part from a zero tolerance: signed
+# zeros, subnormals, ties on the 1/64 grid, and pairs whose difference
+# overflows.
+EDGE_WORTHS = st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7976931348623157e308)
+) | st.integers(-256, 256).map(lambda k: k / 64)
+
+
+def _zero_tol_symmetric(v, i, j):
+    """``are_symmetric`` as it was, comparing under Tolerance(0.0, 0.0)."""
+    tol = Tolerance(0.0, 0.0)
+    bi, bj = v.bit(i), v.bit(j)
+    for mask in range(1 << v.n):
+        if mask & (bi | bj):
+            continue
+        if not tol.eq(v.worth[mask | bi], v.worth[mask | bj]):
+            return False
+    return True
+
+
+def _zero_tol_null(v, i):
+    """``is_null_player`` as it was, comparing under Tolerance(0.0, 0.0)."""
+    tol = Tolerance(0.0, 0.0)
+    b = v.bit(i)
+    return all(
+        tol.eq(v.worth[mask | b], v.worth[mask]) for mask in range(1 << v.n) if not mask & b
+    )
+
+
+@st.composite
+def near_twin_games(draw):
+    """A game of 2-6 players on edge worths where players 1 and 2 are twins
+    and the last player is null, before up to two worths are redrawn."""
+    n = draw(st.integers(2, 6))
+    base = draw(st.lists(EDGE_WORTHS, min_size=1 << n, max_size=1 << n))
+    base[0] = draw(st.sampled_from((0.0, -0.0)))
+    last = 1 << (n - 1)
+
+    def key(mask):
+        mask &= ~last
+        swapped = mask & ~3 | (mask & 1) << 1 | (mask >> 1 & 1)
+        return min(mask, swapped)
+
+    worth = [base[key(mask)] for mask in range(1 << n)]
+    for mask in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=2)):
+        worth[mask] = draw(EDGE_WORTHS)
+    return Game(tuple(range(1, n + 1)), tuple(worth))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_twin_games())
+def test_exact_predicates_match_the_zero_tolerance_loops(v):
+    for i, j in combinations(v.players, 2):
+        assert are_symmetric(v, i, j) == _zero_tol_symmetric(v, i, j)
+    for i in v.players:
+        assert is_null_player(v, i) == _zero_tol_null(v, i)
+
+
+@given(EDGE_WORTHS | st.floats(allow_nan=False, allow_infinity=False), EDGE_WORTHS)
+def test_zero_tolerance_equates_finite_worths_exactly_when_equal(a, b):
+    assert Tolerance(0.0, 0.0).eq(a, b) == (a == b)
+    assert Tolerance(0.0, 0.0).eq(b, a) == (a == b)
 
 
 def test_unanimity_game_values():
@@ -139,8 +202,9 @@ def test_tolerance_comparison():
     assert tol.eq(1.0, 1.0 + 5e-10)
     assert not tol.eq(1.0, 1.0 + 5e-8)
     assert tol.eq(1e12, 1e12 * (1 + 1e-10))
-    assert EXACT.eq(0.5, 0.5)
-    assert not EXACT.eq(0.5, 0.5 + 1e-16)
+    exact = Tolerance(0.0, 0.0)
+    assert exact.eq(0.5, 0.5)
+    assert not exact.eq(0.5, 0.5 + 1e-16)
 
 
 def test_tolerance_never_equates_a_non_finite_difference():

@@ -166,3 +166,44 @@ def test_only_the_axiom_driver_compares_cases_and_builds_witnesses():
     # checkers yield cases; _drive alone compares them and builds the witness
     source = (SRC / "axioms.py").read_text(encoding="utf-8")
     assert comparers(source) == ["_drive"]
+
+
+def _builds_tolerance(node: ast.AST) -> bool:
+    """Whether a statement calls ``Tolerance`` by name or as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            if isinstance(func, ast.Name) and func.id == "Tolerance":
+                return True
+            if isinstance(func, ast.Attribute) and func.attr == "Tolerance":
+                return True
+    return False
+
+
+def tolerance_builders(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level statement of the sources, keyed by
+    module, that builds a ``Tolerance``, where an assignment is named by its
+    first target and any other nameless statement by the module; sorted."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if _builds_tolerance(node):
+                name = getattr(node, "name", None)
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                    name = node.targets[0].id
+                found.append(f"{module}.{name}" if name else module)
+    return sorted(found)
+
+
+def test_tolerance_builders_are_found():
+    sources = {
+        "a": "EXACT = Tolerance(0.0, 0.0)\ndef f(t): return Tolerance\n",
+        "b": "import games\nclass C:\n    tol = games.Tolerance()\nprint(Tolerance(1.0))\n",
+    }
+    assert tolerance_builders(sources) == ["a.EXACT", "b", "b.C"]
+
+
+def test_tolerances_are_built_only_as_the_default_and_from_the_cli_flag():
+    # exact comparisons use ==; a Tolerance is the default or the one --tol sets
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert tolerance_builders(sources) == ["cli._tol_from", "games.DEFAULT_TOL"]
