@@ -12,8 +12,10 @@ Each property is a checker: a generator over ``(subject, corpus,
 
 * An evaluation: a zero-argument callable that runs the rules.  The driver
   calls it and sends back its result, or ``_SKIPPED`` when the call left a
-  rule's domain (``DomainViolation`` or ``MissingStructure``); that counts
-  as one skipped evaluation.
+  rule's domain (``DomainViolation``); that counts as one skipped
+  evaluation.  Any other error propagates, ``MissingStructure`` too: only
+  a broken rule raises it, one that drops the structure before calling a
+  rule that reads it.
 * A case, ``_Case(at, lhs, rhs, scale, fields)``: two numbers that must
   agree at the corpus item ``at``, to within the tolerance at ``scale``.
   The scale is 0 for a bare comparison, or the size of the payoffs that a
@@ -59,7 +61,7 @@ from .comm import (
     components,
     empty_graph,
 )
-from .errors import DomainViolation, IncompatibleSubject, MissingStructure, UnknownName
+from .errors import DomainViolation, IncompatibleSubject, UnknownName
 from .games import (
     DEFAULT_TOL,
     GENERAL,
@@ -324,7 +326,7 @@ def _drive(
             if callable(item):
                 try:
                     sent = item()
-                except (DomainViolation, MissingStructure):
+                except DomainViolation:
                     skipped += 1
                     sent = _SKIPPED
             else:

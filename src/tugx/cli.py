@@ -182,7 +182,7 @@ def _total(alloc, what: str = "payoff total") -> float:
 def _tol_from(args) -> Tolerance:
     if args.tol is None:
         return DEFAULT_TOL
-    return Tolerance(abs_eps=args.tol, rel_eps=args.tol)
+    return Tolerance(args.tol)
 
 
 def _cmd_solve(args) -> int:

@@ -133,7 +133,7 @@ def cycle_sums(
 def slack(tol: Tolerance, values: Iterable[float]) -> float:
     """How far an induction solver's equations may miss: a thousand times
     the tolerance at the largest of 1 and the magnitudes of values."""
-    return 1000.0 * (tol.abs_eps + tol.rel_eps * max([1.0, *map(abs, values)]))
+    return 1000.0 * (tol.eps + tol.eps * max([1.0, *map(abs, values)]))
 
 
 def owed_totals(

@@ -90,33 +90,24 @@ def _adjacency(g: Graph) -> list[int]:
     return adj
 
 
-def _components_of_mask(adj: list[int], mask: int) -> list[int]:
-    """Connected parts of the masked players, lowest bit first."""
+def components(g: Graph) -> tuple[frozenset[int], ...]:
+    """Connected parts of the graph's player set, lowest player first."""
+    adj = _adjacency(g)
     comps = []
-    remaining = mask
+    remaining = (1 << len(g.players)) - 1
     while remaining:
-        comp = remaining & -remaining
-        frontier = comp
+        comp = frontier = remaining & -remaining
         while frontier:
             grown = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
                 grown |= adj[b.bit_length() - 1]
-            frontier = grown & mask & ~comp
+            frontier = grown & ~comp
             comp |= frontier
-        comps.append(comp)
+        comps.append(frozenset(p for k, p in enumerate(g.players) if comp >> k & 1))
         remaining &= ~comp
-    return comps
-
-
-def components(g: Graph) -> tuple[frozenset[int], ...]:
-    """Connected parts of the graph's player set."""
-    return tuple(
-        frozenset(p for k, p in enumerate(g.players) if comp >> k & 1)
-        for comp in _components_of_mask(_adjacency(g), (1 << len(g.players)) - 1)
-    )
+    return tuple(comps)
 
 
 def _aligned_graph(v: Game, g: Graph) -> Graph:

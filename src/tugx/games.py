@@ -30,24 +30,23 @@ _GRID = 64
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Mixed absolute/relative float comparison.  Numbers whose difference
-    is not finite (an infinity or a nan among them) are never equal."""
+    """Float comparison whose one epsilon bounds both the absolute and the
+    relative error.  Numbers whose difference is not finite (an infinity or
+    a nan among them) are never equal."""
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        for eps in (self.abs_eps, self.rel_eps):
-            if not (math.isfinite(eps) and eps >= 0.0):
-                raise ValueError(
-                    f"tolerance must be finite and nonnegative, got {eps}"
-                )
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ValueError(
+                f"tolerance must be finite and nonnegative, got {self.eps}"
+            )
 
     def eq(self, a: float, b: float, scale: float = 0.0) -> bool:
         """Whether a and b agree; the relative bound scales with the larger
         of |a|, |b| and scale (the magnitude of what a sum summed)."""
         diff = abs(a - b)
-        bound = self.abs_eps + self.rel_eps * max(abs(a), abs(b), scale)
+        bound = self.eps + self.eps * max(abs(a), abs(b), scale)
         return diff < math.inf and diff <= bound
 
 

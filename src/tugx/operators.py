@@ -95,7 +95,7 @@ def _divisor(out: Allocation, what: str, positive: bool = True) -> float:
     positive): dividing by it would blow rounding noise up to any size.
     """
     total = total_of(out.values, "the benchmark total")
-    floor = DEFAULT_TOL.rel_eps * total_of(map(abs, out.values), "the benchmark's size")
+    floor = DEFAULT_TOL.eps * total_of(map(abs, out.values), "the benchmark's size")
     if (total if positive else abs(total)) <= floor:
         need = "positive" if positive else "non-negligible"
         raise DomainViolation(f"{what} needs a {need} benchmark total, got {total}")

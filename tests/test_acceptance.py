@@ -67,8 +67,8 @@ from tugx.solutions import (
 )
 from tugx.io import render_game_text, significant
 
-TOL = Tolerance(abs_eps=1e-9, rel_eps=1e-9)
-LOOSE = Tolerance(abs_eps=1e-8, rel_eps=1e-8)
+TOL = Tolerance(1e-9)
+LOOSE = Tolerance(1e-8)
 
 
 def _games(n: int, count: int, base_seed: int, profile: str = GENERAL):

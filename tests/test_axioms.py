@@ -22,7 +22,7 @@ from tugx.axioms import (
 )
 from tugx.coalition import AUMANN_DREZE, PARTITION, make_partition, remove_player
 from tugx.comm import GRAPH, MYERSON_SOLUTION, components
-from tugx.errors import IncompatibleSubject, UnknownName
+from tugx.errors import IncompatibleSubject, MissingStructure, UnknownName
 from tugx.games import (
     GENERAL,
     POSITIVE_SINGLETONS,
@@ -93,6 +93,16 @@ def test_check_axiom_dispatch_errors(corpus):
         check_axiom(
             "equal-surplus-invariance", value_subject(ESS_VALUE), corpus
         )  # benchmark missing
+
+
+def test_a_rule_that_drops_its_structure_is_an_error_not_a_skip():
+    # the operator hands its graph-reading benchmark no graph; that is a
+    # broken rule, not an input outside a rule's domain
+    drops = Operator("drops-graph", lambda f, v, *s: ESS_OPERATOR(f, v))
+    corpus = Corpus.build(sizes=(2, 3), per_size=2, seed=1)
+    for pool in (None, (MYERSON_SOLUTION,)):
+        with pytest.raises(MissingStructure, match="'myerson' needs a graph"):
+            check_axiom("efficiency", Subject(drops, GRAPH, pool=pool), corpus)
 
 
 def test_axiom_catalogue_is_stable():
@@ -529,7 +539,7 @@ def _per_order_sides(F, v, P, cycle):
     return math.fsum(succ), math.fsum(pred), outs
 
 
-def _per_order_cyclic(subject, corpus):
+def _per_order_cyclic(subject, corpus, scale_of=axioms._scale):
     phi = subject.target
     for v, P in corpus.partitioned:
         for block in P:
@@ -539,7 +549,7 @@ def _per_order_cyclic(subject, corpus):
                     continue
                 succ, pred, outs = sides
                 yield axioms._Case(
-                    (v, P), succ, pred, axioms._scale(outs),
+                    (v, P), succ, pred, scale_of(outs),
                     lambda: dict(order=list(order), residual=succ - pred),
                 )
 
@@ -570,7 +580,7 @@ def test_removal_cycles_report_as_when_every_order_evaluated_its_removals(wide_g
     tol = Tolerance()
     # under a loose tolerance, the case a rule fails at depends on the
     # tolerance scale as well as on the sums
-    loose = Tolerance(0.0, 1.0)
+    loose = Tolerance(1.0)
     seen = Counter()
     for corpus in _cyclic_corpora(wide_game):
         v0, P0 = corpus.partitioned[0]
@@ -589,6 +599,10 @@ def test_removal_cycles_report_as_when_every_order_evaluated_its_removals(wide_g
             got = check_axiom(axiom, subject, corpus, at)
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
             seen[got.verdict, "skipped" in got.note] += 1
+            if at is loose:
+                unscaled = _per_order_cyclic(subject, corpus, lambda outs: 0.0)
+                flat = axioms._drive(axiom, rule.name, unscaled, at)
+                seen["scale matters"] += flat.to_dict() != got.to_dict()
         (row,) = [
             r for r in check_theorem_suite("partition-operators", corpus)
             if r.axiom == "cyclic-removal-balance-at-game"
@@ -598,6 +612,7 @@ def test_removal_cycles_report_as_when_every_order_evaluated_its_removals(wide_g
         assert json.dumps(row.to_dict()) == json.dumps(want.to_dict())
     # the targets pass, fail and skip evaluations
     assert seen["pass", False] and seen["fail", False] and seen["pass", True]
+    assert seen["scale matters"]
 
 
 def _counting_aumann_dreze(calls: list) -> Solution:

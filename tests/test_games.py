@@ -85,8 +85,8 @@ EDGE_WORTHS = st.sampled_from(
 
 
 def _zero_tol_symmetric(v, i, j):
-    """``are_symmetric`` as it was, comparing under Tolerance(0.0, 0.0)."""
-    tol = Tolerance(0.0, 0.0)
+    """``are_symmetric`` as it was, comparing under Tolerance(0.0)."""
+    tol = Tolerance(0.0)
     bi, bj = v.bit(i), v.bit(j)
     for mask in range(1 << v.n):
         if mask & (bi | bj):
@@ -97,8 +97,8 @@ def _zero_tol_symmetric(v, i, j):
 
 
 def _zero_tol_null(v, i):
-    """``is_null_player`` as it was, comparing under Tolerance(0.0, 0.0)."""
-    tol = Tolerance(0.0, 0.0)
+    """``is_null_player`` as it was, comparing under Tolerance(0.0)."""
+    tol = Tolerance(0.0)
     b = v.bit(i)
     return all(
         tol.eq(v.worth[mask | b], v.worth[mask]) for mask in range(1 << v.n) if not mask & b
@@ -136,8 +136,8 @@ def test_exact_predicates_match_the_zero_tolerance_loops(v):
 
 @given(EDGE_WORTHS | st.floats(allow_nan=False, allow_infinity=False), EDGE_WORTHS)
 def test_zero_tolerance_equates_finite_worths_exactly_when_equal(a, b):
-    assert Tolerance(0.0, 0.0).eq(a, b) == (a == b)
-    assert Tolerance(0.0, 0.0).eq(b, a) == (a == b)
+    assert Tolerance(0.0).eq(a, b) == (a == b)
+    assert Tolerance(0.0).eq(b, a) == (a == b)
 
 
 def test_unanimity_game_values():
@@ -198,17 +198,17 @@ def test_set_partition_counts(n, count):
 
 
 def test_tolerance_comparison():
-    tol = Tolerance(abs_eps=1e-9, rel_eps=1e-9)
+    tol = Tolerance(1e-9)
     assert tol.eq(1.0, 1.0 + 5e-10)
     assert not tol.eq(1.0, 1.0 + 5e-8)
     assert tol.eq(1e12, 1e12 * (1 + 1e-10))
-    exact = Tolerance(0.0, 0.0)
+    exact = Tolerance(0.0)
     assert exact.eq(0.5, 0.5)
     assert not exact.eq(0.5, 0.5 + 1e-16)
 
 
 def test_tolerance_never_equates_a_non_finite_difference():
-    tol = Tolerance(abs_eps=1e-9, rel_eps=1e-9)
+    tol = Tolerance(1e-9)
     for a, b in (
         (math.inf, 1e308),
         (-1.0, -math.inf),
@@ -224,9 +224,7 @@ def test_tolerance_never_equates_a_non_finite_difference():
 def test_tolerance_rejects_non_finite_or_negative():
     for eps in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError):
-            Tolerance(abs_eps=eps)
-        with pytest.raises(ValueError):
-            Tolerance(rel_eps=eps)
+            Tolerance(eps)
 
 
 @pytest.mark.parametrize("k", [1, 15])

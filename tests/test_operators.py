@@ -606,7 +606,7 @@ def _old_ps(f, v, cohesive=False):
     target = max_partition_value(v).value if cohesive else v.grand
     out = f(v)
     total = math.fsum(out.values)
-    if total <= DEFAULT_TOL.rel_eps * math.fsum(map(abs, out.values)):
+    if total <= DEFAULT_TOL.eps * math.fsum(map(abs, out.values)):
         raise DomainViolation("benchmark total")
     return Allocation(v.players, tuple(x / total * target for x in out.values))
 
@@ -642,7 +642,7 @@ def _outcome(op, f, v):
 
 def _residue_total(f, v):
     out = f(v).values
-    return abs(math.fsum(out)) <= DEFAULT_TOL.rel_eps * math.fsum(map(abs, out))
+    return abs(math.fsum(out)) <= DEFAULT_TOL.eps * math.fsum(map(abs, out))
 
 
 def _kind(outcome):
