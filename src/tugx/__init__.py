@@ -99,8 +99,6 @@ from .operators import (
     PS_OPERATOR,
     PS_VALUE,
     Operator,
-    anchored_ess_operator,
-    anchored_ps_operator,
     brute_force_partition_value,
     max_partition_value,
     named_graph_solution,

@@ -5,8 +5,9 @@ over the benchmark payoffs f(v).  The ess rule adds an equal share of what
 the payoffs leave, the ps rule rescales them proportionally, and the
 weighted rule blends the two with convex weights.  The target is the grand
 worth v(N), or for the cohesive operators the best partition worth.  The
-anchored operators, used as a counterexample, shift the ess or ps sharing
-by the benchmark's offsets at a fixed game.
+anchored operators, used as a counterexample and reached only through
+named_operator with an anchor game, shift the ess or ps sharing by the
+benchmark's offsets at a fixed game.
 
 Every operator takes ``(f, v, *structure)`` and hands the structure to the
 benchmark f alone, so one operator serves plain games, communication graphs
@@ -142,13 +143,12 @@ class Sharing(NamedTuple):
     a domain test on the game that runs before the benchmark does.
     """
 
-    name: str
     shares: Callable[[Allocation, Game, float], Allocation]
     check: Callable[[Game], None] | None = None
 
 
-_ESS = Sharing("ess", _ess_shares)
-_PS = Sharing("ps", _ps_shares, _require_positive_singletons)
+_ESS = Sharing(_ess_shares)
+_PS = Sharing(_ps_shares, _require_positive_singletons)
 
 
 def _game_digest(v: Game) -> str:
@@ -159,9 +159,10 @@ def _game_digest(v: Game) -> str:
     return hashlib.sha1(raw).hexdigest()[:8]
 
 
-def _anchored_operator(sharing: Sharing, anchor: Game) -> Operator:
+def _anchored_operator(name: str, sharing: Sharing, anchor: Game) -> Operator:
     """The sharing of the grand worth at v, shifted by the benchmark's
-    offsets from their mean at the anchor.
+    offsets from their mean at the anchor.  The offsets sum to zero, so the
+    result stays efficient.
 
     The benchmark runs once at v.  When v is the anchor object itself, that
     run is also the anchor's run: nested anchored operators pass their anchor
@@ -183,21 +184,7 @@ def _anchored_operator(sharing: Sharing, anchor: Game) -> Operator:
             tuple(x + y - mean for x, y in zip(base.values, at_anchor.values)),
         )
 
-    return Operator(f"anchored-{sharing.name}:{_game_digest(anchor)}", func)
-
-
-def anchored_ess_operator(anchor: Game) -> Operator:
-    """Equal-surplus sharing shifted by benchmark offsets at a fixed game.
-
-    The offsets sum to zero, so the result stays efficient, yet payoffs now
-    react to how the benchmark behaves away from the game being played.
-    """
-    return _anchored_operator(_ESS, anchor)
-
-
-def anchored_ps_operator(anchor: Game) -> Operator:
-    """Proportional sharing shifted by benchmark offsets at a fixed game."""
-    return _anchored_operator(_PS, anchor)
+    return Operator(f"{name}:{_game_digest(anchor)}", func)
 
 
 class BestPartition(NamedTuple):
@@ -415,7 +402,7 @@ def weighted_operator(alpha: float) -> Operator:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"blend parameter must lie in [0, 1], got {alpha}")
     name = f"weighted:{format(alpha, 'g')}"
-    return _operator(name, Sharing(name, _convex_shares(alpha)), _grand_worth)
+    return _operator(name, Sharing(_convex_shares(alpha)), _grand_worth)
 
 
 def wrap(op: Operator, f: Solution) -> Solution:
@@ -479,7 +466,7 @@ _OPERATORS: dict[str, Operator] = {
         COHESIVE_PS_OPERATOR,
     )
 }
-_ANCHORED = {"anchored-ess": anchored_ess_operator, "anchored-ps": anchored_ps_operator}
+_ANCHORED = {"anchored-ess": _ESS, "anchored-ps": _PS}
 
 
 def named_operator(name: str, anchor: Game | None = None) -> Operator:
@@ -490,7 +477,7 @@ def named_operator(name: str, anchor: Game | None = None) -> Operator:
     if name in _ANCHORED:
         if anchor is None:
             raise ValueError(f"{name!r} needs an anchor game")
-        return _ANCHORED[name](anchor)
+        return _anchored_operator(name, _ANCHORED[name], anchor)
     if name.startswith("weighted:"):
         try:
             return weighted_operator(float(name.split(":", 1)[1]))

@@ -48,9 +48,9 @@ from tugx.operators import (
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
     PS_VALUE,
-    anchored_ess_operator,
     brute_force_partition_value,
     max_partition_value,
+    named_operator,
     weighted_operator,
     wrap,
 )
@@ -208,7 +208,7 @@ def test_operator_laws_across_benchmarks():
 def test_anchored_operator_surplus_violation_reproduced(duo):
     t0 = time.monotonic()
     anchor2 = Game.from_table([1, 2], {(1,): 1.0, (2,): 3.0, (1, 2): 0.0})
-    op2 = anchored_ess_operator(anchor2)
+    op2 = named_operator("anchored-ess", anchor2)
     lead = LEAD_SINGLETON
     # stand-alone and lead-singleton agree on player 1's payoff and on the
     # total at the played game, yet the anchored outputs differ by -3/2
@@ -239,7 +239,7 @@ def test_anchored_operator_surplus_violation_reproduced(duo):
     assert report.passed and report.cases == 0
 
     anchor3 = Game.from_table([1, 2, 3], {(1,): 1.0, (2,): 3.0, (1, 2, 3): 0.0})
-    op3 = anchored_ess_operator(anchor3)
+    op3 = named_operator("anchored-ess", anchor3)
     corpus3 = Corpus(games=tuple(_games(3, 8, base_seed=412)))
     report = check_axiom(
         "operator-weak-equal-surplus", operator_subject(op3, pool), corpus3, TOL

@@ -37,7 +37,7 @@ from tugx.operators import (
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
     PS_VALUE,
-    anchored_ess_operator,
+    named_operator,
     wrap,
 )
 from tugx.solutions import (
@@ -67,6 +67,7 @@ def golden_reports() -> dict[str, dict]:
     v0, g0 = general.comm[-1]
     w0, P0 = general.partitioned[-1]
     anchor = Game.from_table([1, 2], {(1,): 1.0, (2,): 3.0, (1, 2): 0.0})
+    anchored = named_operator("anchored-ess", anchor)
     cases = (
         # value family
         ("efficiency", value_subject(ESS_VALUE), general),
@@ -129,17 +130,17 @@ def golden_reports() -> dict[str, dict]:
         ("cohesive-efficiency", operator_subject(COHESIVE_PS_OPERATOR), positive),
         ("operator-equal-treatment", operator_subject(PS_OPERATOR), general),
         ("operator-equal-treatment", operator_subject(GRAPH_ESS_OPERATOR), general),
-        ("operator-equal-surplus", operator_subject(anchored_ess_operator(anchor)), general),
+        ("operator-equal-surplus", operator_subject(anchored), general),
         (
             "operator-equal-surplus",
-            operator_subject(anchored_ess_operator(anchor), (STAND_ALONE, LEAD_SINGLETON)),
+            operator_subject(anchored, (STAND_ALONE, LEAD_SINGLETON)),
             examples,
         ),
         ("operator-equal-surplus", operator_subject(GRAPH_ESS_OPERATOR), general),
         ("operator-equal-surplus", operator_subject(PARTITION_ESS_OPERATOR), general),
         ("operator-weak-equal-surplus", operator_subject(ESS_OPERATOR), duos),
         ("operator-weak-equal-surplus", operator_subject(PS_OPERATOR), general),
-        ("operator-weak-equal-surplus", operator_subject(anchored_ess_operator(anchor)), general),
+        ("operator-weak-equal-surplus", operator_subject(anchored), general),
     )
     for k, (axiom, subject, corpus) in enumerate(cases):
         out[f"axiom:{k}:{axiom}:{subject.kind}:{subject.name}"] = check_axiom(

@@ -43,9 +43,8 @@ from tugx.operators import (
     PS_VALUE,
     PARTITION_ESS_OPERATOR,
     PS_OPERATOR,
-    anchored_ess_operator,
-    anchored_ps_operator,
     max_partition_value,
+    named_operator,
     named_solution,
     weighted_operator,
     wrap,
@@ -425,7 +424,7 @@ def test_operators_over_arbitrary_benchmarks():
                 # ps leaves its domain where a benchmark total is not positive
                 assert ("skipped" in report.note) == (op in skipping), (op.name, axiom)
         anchor = next(v for v in corpus.games if v.n == 3)
-        for op in (anchored_ess_operator(anchor), anchored_ps_operator(anchor)):
+        for op in (named_operator("anchored-ess", anchor), named_operator("anchored-ps", anchor)):
             subject = Subject(op, structure, pool=pool)
             report = check_axiom("operator-equal-surplus", subject, corpus)
             assert not report.passed, (op.name, subject.kind)
@@ -436,7 +435,7 @@ def test_operator_equal_surplus_on_one_player_games():
     # one-player game, where no zero-sum offset exists
     anchor = Game.from_table([1], {(1,): 2.0})
     corpus = Corpus(tuple(Game.from_table([1], {(1,): x}) for x in (1.0, 3.0)))
-    subject = operator_subject(anchored_ess_operator(anchor))
+    subject = operator_subject(named_operator("anchored-ess", anchor))
     report = check_axiom("operator-equal-surplus", subject, corpus)
     assert report.passed and report.cases == 14
 

@@ -326,15 +326,18 @@ def test_count_below_one_is_rejected(capsys, tmp_path):
 
 def test_gen_rejects_bad_sizes_before_writing(capsys, tmp_path):
     outdir = tmp_path / "out"
-    for sizes, message in (
-        ("2-x", "'x' is not an integer"),
-        ("2,17", "at most 16 players supported, got 17"),
-        ("0", "player set must be nonempty"),
+    for option, message in (
+        (("--sizes", "2-x"), "'x' is not an integer"),
+        (("--sizes", "2,17"), "at most 16 players supported, got 17"),
+        (("--sizes", "0"), "player set must be nonempty"),
+        (("--sizes", "3-2"), "no sizes in '3-2'"),
+        (("--profile", "bogus"), "unknown profile 'bogus'"),
     ):
         code, out, err = run(
-            capsys, "gen", str(outdir), "--sizes", sizes, "--count", "2", "--seed", "1"
+            capsys, "gen", str(outdir), *option, "--count", "2", "--seed", "1"
         )
         assert code == 2 and message in err and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not outdir.exists()
 
 
@@ -343,20 +346,34 @@ def test_check_rejects_bad_corpus_sizes_before_building_games(capsys, monkeypatc
         raise AssertionError(f"built a game of {len(self.players)} players")
 
     monkeypatch.setattr(Game, "__post_init__", sentinel)
-    for sizes, message in (
-        ("17", "at most 16 players supported, got 17"),
-        ("0-2", "player set must be nonempty"),
+    for fields, message in (
+        ("n=17", "at most 16 players supported, got 17"),
+        ("n=0-2", "player set must be nonempty"),
+        ("n=3-2", "no sizes in '3-2'"),
+        ("n=2,foo", "bad corpus field 'foo'"),
+        ("n=2,profile=bogus", "unknown profile 'bogus'"),
     ):
         code, out, err = run(
-            capsys, "check", f"gen:n={sizes},count=1", "--suite", "surplus-values"
+            capsys, "check", f"gen:{fields},count=1", "--suite", "surplus-values"
         )
         assert code == 2 and message in err and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path, fixture_dir):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+    for argv, message in (
+        (["check", str(tmp_path), "--suite", "surplus-values"], "no .json game files in"),
+        (["check", str(fixture_dir)], "nothing to check: pass --suite and/or --axiom"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and message in err and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # an empty field in a corpus spec is skipped
+    code, _, _ = run(capsys, "check", "gen:,n=2,count=1", "--suite", "surplus-values")
+    assert code == 0
 
 
 def test_gen_is_deterministic(capsys, tmp_path):

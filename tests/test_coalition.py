@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -58,6 +59,13 @@ def test_make_partition_validation(trio):
         make_partition([[1, 2]], trio.players)
     with pytest.raises(ValueError):
         make_partition([[1, 2], [3], []], trio.players)
+    with pytest.raises(ValueError, match="a partition needs at least one block"):
+        make_partition([])
+    singles = make_partition([[1], [2], [3]], trio.players)
+    with pytest.raises(ValueError, match="player 9 is in no block"):
+        block_of(singles, 9)
+    with pytest.raises(ValueError, match=re.escape("(1, 2) is not a block")):
+        extend_with_null(trio, singles, [1, 2])
     P = make_partition([[3], [1, 2]], trio.players)
     assert P == (frozenset({1, 2}), frozenset({3}))
 

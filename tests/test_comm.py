@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -38,6 +39,11 @@ def test_graph_validation():
     assert g.sorted_links() == ((1, 2),)
     with pytest.raises(ValueError):
         g.without((1, 3))
+    for players in ((2, 1), ()):
+        with pytest.raises(ValueError, match="players must be nonempty, strictly increasing"):
+            Graph(players, frozenset())
+    with pytest.raises(ValueError, match=re.escape("link (2, 1) must be ordered (low, high)")):
+        Graph((1, 2), frozenset({(2, 1)}))
 
 
 def test_components(pair_link, trio):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -51,6 +52,15 @@ def test_construction_rejects_bad_input():
         Game((1, 2), (0.0, math.inf, 0.0, 0.0))
     with pytest.raises(ValueError):
         Game(tuple(range(17)), tuple([0.0] * (1 << 17)))
+    for players in ((-1, 2), (True, 2)):
+        with pytest.raises(ValueError, match="player ids must be nonnegative ints"):
+            Game(players, (0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="carrier 3 is not a player"):
+        unanimity_game([1, 2], [3])
+    with pytest.raises(ValueError, match="carrier set must be nonempty"):
+        unanimity_game([1, 2], [])
+    with pytest.raises(ValueError, match="unknown profile 'bogus'"):
+        random_game([1, 2], seed=1, profile="bogus")
 
 
 def test_from_table_rejects_bad_coalitions():
@@ -60,6 +70,19 @@ def test_from_table_rejects_bad_coalitions():
         Game.from_table([1, 2], {(1, 1): 1.0})
     with pytest.raises(ValueError):
         Game.from_table([1, 2], {(): 1.0})
+    with pytest.raises(ValueError, match=re.escape("coalition (1, 2) listed twice")):
+        Game.from_table([1, 2], {(1, 2): 1.0, (2, 1): 2.0})
+    # a zero worth on the empty coalition is the one it must have
+    v = Game.from_table([1, 2], {(): 0.0, (1, 2): 1.0})
+    assert v.worth == (0.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="player 9 is not in the game"):
+        v.bit(9)
+    with pytest.raises(ValueError, match="player 1 listed twice in coalition"):
+        v.value([1, 1])
+    with pytest.raises(ValueError, match="players must differ"):
+        are_symmetric(v, 1, 1)
+    with pytest.raises(ValueError, match="a subgame needs a nonempty coalition"):
+        subgame(v, [])
 
 
 def test_nonzero_table_round_trip(trio):

@@ -31,8 +31,6 @@ from tugx.operators import (
     ESS_VALUE,
     PS_OPERATOR,
     PS_VALUE,
-    anchored_ess_operator,
-    anchored_ps_operator,
     brute_force_partition_value,
     max_partition_value,
     named_operator,
@@ -93,7 +91,7 @@ def test_ps_operator_domain(duo, trio):
     # and before the benchmark runs at all
     calls = []
     spy = Solution("spy", lambda v: calls.append(v) or EQUAL_DIVISION(v))
-    for op in (PS_OPERATOR, COHESIVE_PS_OPERATOR, anchored_ps_operator(trio)):
+    for op in (PS_OPERATOR, COHESIVE_PS_OPERATOR, named_operator("anchored-ps", trio)):
         with pytest.raises(DomainViolation):
             op(spy, trio)
     assert calls == []
@@ -128,7 +126,7 @@ def test_weighted_operator_zero_total(trio):
 
 def test_anchored_operator_witness(duo):
     anchor = Game.from_table([1, 2], {(1,): 1.0, (2,): 3.0, (1, 2): 0.0})
-    op = anchored_ess_operator(anchor)
+    op = named_operator("anchored-ess", anchor)
     at_standalone = op(STAND_ALONE, duo)
     at_lead = op(LEAD_SINGLETON, duo)
     # both benchmarks agree on player 1's payoff and on the total at the
@@ -141,16 +139,16 @@ def test_anchored_operator_witness(duo):
 
 
 def test_anchored_operator_requires_matching_players(duo, trio):
-    op = anchored_ess_operator(trio)
+    op = named_operator("anchored-ess", trio)
     with pytest.raises(DomainViolation):
         op(STAND_ALONE, duo)
     assert op.name.startswith("anchored-ess:")
-    assert op.name == anchored_ess_operator(trio).name
+    assert op.name == named_operator("anchored-ess", trio).name
 
 
 def test_anchored_ps_variant(duo):
     anchor = Game.from_table([1, 2], {(1,): 1.0, (2,): 3.0, (1, 2): 0.0})
-    op = anchored_ps_operator(anchor)
+    op = named_operator("anchored-ps", anchor)
     out = op(STAND_ALONE, duo)
     assert out[1] == 5.0
     assert DEFAULT_TOL.eq(out.total(), duo.grand)
@@ -178,13 +176,14 @@ def _per_level_anchored(apply, anchor):
 def test_nested_anchored_operators_call_benchmark_once_per_level(flavor, wide_game):
     players = (1, 2, 3, 4)
     if flavor == "ess":
-        make, apply = anchored_ess_operator, ESS_OPERATOR
+        apply = ESS_OPERATOR
         anchor, other = wide_game(players, 5), wide_game(players, 6)
     else:
-        make, apply = anchored_ps_operator, PS_OPERATOR
+        apply = PS_OPERATOR
         anchor = random_game(players, seed=5, profile=POSITIVE_SINGLETONS)
         other = random_game(players, seed=6, profile=POSITIVE_SINGLETONS)
-    op, reference = make(anchor), _per_level_anchored(apply, anchor)
+    op = named_operator(f"anchored-{flavor}", anchor)
+    reference = _per_level_anchored(apply, anchor)
     calls = []
     nested = Solution("shapley", lambda v: calls.append(v) or shapley(v))
     nested_ref = SHAPLEY
@@ -575,6 +574,8 @@ def test_named_operator(duo):
         named_operator("nope")
     with pytest.raises(UnknownName):
         named_operator("weighted:x")
+    # two builds at one anchor are one operator
+    assert len({named_operator("anchored-ess", duo), named_operator("anchored-ess", duo)}) == 1
 
 
 def test_anchored_operator_reruns_benchmark_at_an_equal_game():
@@ -583,7 +584,7 @@ def test_anchored_operator_reruns_benchmark_at_an_equal_game():
     anchor = Game((1, 2), (0.0, 0.0, 0.0, 0.0))
     v = Game((1, 2), (0.0, 0.0, -0.0, -0.0))
     assert v == anchor
-    got = anchored_ess_operator(anchor)(STAND_ALONE, v)
+    got = named_operator("anchored-ess", anchor)(STAND_ALONE, v)
     want = _per_level_anchored(ESS_OPERATOR, anchor)(STAND_ALONE, v)
     assert [x.hex() for x in got.values] == [x.hex() for x in want.values]
 
@@ -670,8 +671,8 @@ def test_operators_match_their_old_formulas(wide_game):
                 (PS_OPERATOR, _old_ps),
                 (COHESIVE_ESS_OPERATOR, lambda f, v: _old_ess(f, v, cohesive=True)),
                 (COHESIVE_PS_OPERATOR, lambda f, v: _old_ps(f, v, cohesive=True)),
-                (anchored_ess_operator(anchor), _per_level_anchored(_old_ess, anchor)),
-                (anchored_ps_operator(anchor), _per_level_anchored(_old_ps, anchor)),
+                (named_operator("anchored-ess", anchor), _per_level_anchored(_old_ess, anchor)),
+                (named_operator("anchored-ps", anchor), _per_level_anchored(_old_ps, anchor)),
             ]
             pairs += [(weighted_operator(a), _old_weighted(a)) for a in (0.0, 0.25, 0.5, 1.0)]
             for v in games:

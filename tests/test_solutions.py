@@ -96,6 +96,8 @@ def test_solution_output_is_validated(duo):
     bad = Solution("bad", lambda v: Allocation((1, 3), (0.0, 0.0)))
     with pytest.raises(ValueError):
         bad(duo)
+    with pytest.raises(ValueError, match="one payoff per player required"):
+        Allocation((1, 2), (0.0,))
 
 
 def test_named_solution_lookup(duo):
@@ -104,6 +106,8 @@ def test_named_solution_lookup(duo):
     assert named_solution("stand-alone") is STAND_ALONE
     assert named_solution("ess") is ESS_VALUE
     assert named_solution("ps") is PS_VALUE
+    # names are the keys: a rule rebuilt under the same name is the same rule
+    assert len({SHAPLEY, named_solution("shapley"), Solution("shapley", shapley)}) == 1
     assert named_solution("constant:1.5")(duo).values == (1.5, 1.5)
     wrapped = named_solution("ess[shapley]")
     assert wrapped.name == "ess[shapley]"
